@@ -2,9 +2,11 @@
 
 Measures: length, span, curl, elongation, diameter, volume, total surface
 area, total radius of end regions, total area of end regions, and
-irregularity. Volume and surface quantities come from an occupancy-grid
-voxelization of the streamlines; everything else is computed directly
-from coordinates.
+irregularity. Volume and surface quantities come from a dense boolean
+occupancy grid over the supersampled streamlines; everything else is
+computed directly from coordinates. The grid is bounded: a bundle whose
+voxelization would need more than MAX_SAMPLES samples or MAX_GRID_CELLS
+cells raises GridTooLarge instead of exhausting memory.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .io import Bundle
 __all__ = [
     "DegenerateBundle",
     "DegenerateSpan",
+    "GridTooLarge",
     "VoxelGrid",
     "ShapeMeasures",
     "MEASURE_NAMES",
@@ -30,7 +33,12 @@ __all__ = [
 
 SPAN_EPS = 1e-6  # mm; spans below this are treated as degenerate
 
-_PACK_BASE = 1 << 21  # per-axis capacity of the packed voxel key
+# Memory bounds of one voxelization: each supersample holds ~72 bytes at the
+# peak of sampling, each grid cell ~3 bytes while surfaces are counted. The
+# largest bundle of the default dataset at 1 mm needs ~9e4 samples and
+# ~4e5 cells; an axis of more than 2**21 cells must still fit.
+MAX_SAMPLES = 1 << 23
+MAX_GRID_CELLS = 1 << 26
 
 
 class DegenerateBundle(ValueError):
@@ -41,9 +49,17 @@ class DegenerateSpan(ValueError):
     """Mean endpoints coincide (closed loop); span-based measures undefined."""
 
 
+class GridTooLarge(ValueError):
+    """Voxelization would exceed MAX_SAMPLES samples or MAX_GRID_CELLS cells."""
+
+
 @dataclass(frozen=True)
 class VoxelGrid:
-    """Occupancy grid anchored at the bundle's bounding-box min corner."""
+    """Occupied voxels of a bundle, indexed from its bounding-box min corner.
+
+    ``indices`` lists each occupied voxel once, in lexicographic (i, j, k)
+    order, which is the C order of the dense grid they are read from.
+    """
 
     voxel_size: float
     origin: np.ndarray  # (3,) min corner of the bounding box
@@ -92,15 +108,10 @@ def align_orientations(bundle: Bundle) -> Bundle:
     streamline is reversed iff matching its endpoints to the reference
     same-way costs more than matching them swapped. Idempotent.
     """
-    lengths = _arc_lengths(bundle)
-    ref = bundle.streamlines[int(np.argmax(lengths))]
-    ref_first, ref_last = ref[0], ref[-1]
-    firsts, lasts = _endpoints(bundle)
-    keep = np.linalg.norm(firsts - ref_first, axis=1) + np.linalg.norm(lasts - ref_last, axis=1)
-    swap = np.linalg.norm(firsts - ref_last, axis=1) + np.linalg.norm(lasts - ref_first, axis=1)
-    aligned = [
-        s[::-1] if keep[i] > swap[i] else s for i, s in enumerate(bundle.streamlines)
-    ]
+    cat = bundle.all_points()
+    off = _offsets(bundle)
+    flips = _flips(cat[off[:-1]], cat[off[1:] - 1], _arc_lengths_cat(cat, off))
+    aligned = [s[::-1] if flip else s for s, flip in zip(bundle.streamlines, flips)]
     return Bundle(
         tuple(aligned),
         subject_id=bundle.subject_id,
@@ -109,8 +120,13 @@ def align_orientations(bundle: Bundle) -> Bundle:
     )
 
 
-def _arc_length(s: np.ndarray) -> float:
-    return float(np.linalg.norm(np.diff(s, axis=0), axis=1).sum())
+def _flips(firsts: np.ndarray, lasts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Per streamline, whether :func:`align_orientations` reverses it."""
+    ref = int(np.argmax(lengths))
+    ref_first, ref_last = firsts[ref], lasts[ref]
+    keep = np.linalg.norm(firsts - ref_first, axis=1) + np.linalg.norm(lasts - ref_last, axis=1)
+    swap = np.linalg.norm(firsts - ref_last, axis=1) + np.linalg.norm(lasts - ref_first, axis=1)
+    return keep > swap
 
 
 def _offsets(bundle: Bundle) -> np.ndarray:
@@ -120,6 +136,7 @@ def _offsets(bundle: Bundle) -> np.ndarray:
 
 
 def _arc_lengths_cat(cat: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Per-streamline arc lengths in one vectorized pass."""
     seg = np.diff(cat, axis=0)
     valid = np.ones(seg.shape[0], dtype=bool)
     valid[off[1:-1] - 1] = False  # drop rows straddling two streamlines
@@ -132,38 +149,13 @@ def _arc_lengths_cat(cat: np.ndarray, off: np.ndarray) -> np.ndarray:
     return np.array([seg_len[starts[j] : starts[j + 1]].sum() for j in range(n)])
 
 
-def _endpoints(bundle: Bundle) -> tuple[np.ndarray, np.ndarray]:
-    """(firsts, lasts) endpoint arrays, each (n_streamlines, 3)."""
-    cat = bundle.all_points()
-    off = _offsets(bundle)
-    return cat[off[:-1]], cat[off[1:] - 1]
-
-
-def _arc_lengths(bundle: Bundle) -> np.ndarray:
-    """Per-streamline arc lengths in one vectorized pass."""
-    return _arc_lengths_cat(bundle.all_points(), _offsets(bundle))
-
-
-def _supersample(s: np.ndarray, max_step: float) -> np.ndarray:
-    """Resample each segment at arc step <= max_step, keeping all vertices."""
-    seg = np.diff(s, axis=0)
-    seg_len = np.linalg.norm(seg, axis=1)
-    counts = np.maximum(np.ceil(seg_len / max_step).astype(np.int64), 1)
-    total = int(counts.sum())
-    seg_id = np.repeat(np.arange(counts.shape[0]), counts)
-    offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
-    within = np.arange(total) - offsets[seg_id] + 1  # 1..n_i per segment
-    t = within / counts[seg_id]
-    samples = s[seg_id] + t[:, None] * seg[seg_id]
-    return np.concatenate((s[:1], samples), axis=0)
-
-
 def _bundle_samples(cat: np.ndarray, off: np.ndarray, max_step: float) -> np.ndarray:
     """Supersample every streamline of a bundle in one vectorized pass.
 
-    Produces the same sample values as per-streamline :func:`_supersample`
-    (identical floating-point expressions per segment), in a different
-    order; callers only use the samples as an unordered set.
+    Each segment is split into ceil(length / max_step) equal steps (at
+    least one) and sampled at the end of every step; each streamline's
+    first vertex is added once. The order of the samples carries no
+    meaning; callers only use them as an unordered set.
     """
     seg = np.diff(cat, axis=0)
     valid = np.ones(seg.shape[0], dtype=bool)
@@ -173,28 +165,62 @@ def _bundle_samples(cat: np.ndarray, off: np.ndarray, max_step: float) -> np.nda
     seg_len = np.sqrt(np.einsum("ij,ij->i", seg, seg))
     if float(seg_len.sum()) <= 0.0:
         raise DegenerateBundle("total arc length is zero")
-    counts = np.maximum(np.ceil(seg_len / max_step).astype(np.int64), 1)
+    steps = np.maximum(np.ceil(seg_len / max_step), 1.0)  # float: cannot wrap around
+    n_samples = float(steps.sum()) + (off.shape[0] - 1)
+    if not n_samples <= MAX_SAMPLES:
+        raise GridTooLarge(f"{n_samples:.3g} samples exceed {MAX_SAMPLES}; use a larger voxel_size")
+    counts = steps.astype(np.int64)
     total = int(counts.sum())
     seg_id = np.repeat(np.arange(counts.shape[0]), counts)
     offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
     within = np.arange(total) - offsets[seg_id] + 1
     t = within / counts[seg_id]
-    samples = base[seg_id] + t[:, None] * seg[seg_id]
-    firsts = cat[off[:-1]]
-    return np.concatenate((firsts, samples), axis=0)
+    samples = seg[seg_id]
+    samples *= t[:, None]
+    samples += base[seg_id]
+    return np.concatenate((cat[off[:-1]], samples), axis=0)
 
 
-def _pack(idx: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    shifted = idx - lo
-    return (shifted[:, 0] * _PACK_BASE + shifted[:, 1]) * _PACK_BASE + shifted[:, 2]
+def _occupancy(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean grid of the given integer-valued voxel indices.
+
+    The grid spans the indices' bounding box plus one empty cell on each
+    side, so every occupied cell has all six neighbors inside the grid.
+    Returns the grid and the voxel index of its cell [0, 0, 0]. Shifts
+    ``idx`` in place to grid coordinates.
+    """
+    lo = idx.min(axis=0) - 1
+    shape = idx.max(axis=0) - lo + 2
+    cells = float(np.prod(shape, dtype=np.float64))  # float: cannot overflow
+    if not cells <= MAX_GRID_CELLS:
+        raise GridTooLarge(f"{cells:.3g} grid cells exceed {MAX_GRID_CELLS}; use a larger voxel_size")
+    grid = np.zeros(shape.astype(np.intp), dtype=bool)
+    idx -= lo
+    grid[tuple(idx.astype(np.intp, copy=False).T)] = True
+    return grid, lo.astype(np.int64)
 
 
-def _unpack(keys: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    k = keys % _PACK_BASE
-    rest = keys // _PACK_BASE
-    j = rest % _PACK_BASE
-    i = rest // _PACK_BASE
-    return np.stack([i, j, k], axis=1) + lo
+def _sample_grid(cat: np.ndarray, off: np.ndarray, voxel_size: float) -> tuple:
+    """Occupancy grid of a bundle's samples: (grid, low corner, origin)."""
+    if not 0 < voxel_size < np.inf:
+        raise ValueError(f"voxel_size must be positive and finite, got {voxel_size}")
+    idx = _bundle_samples(cat, off, voxel_size / 2.0)
+    origin = cat.min(axis=0)
+    idx -= origin
+    idx /= voxel_size
+    grid, lo = _occupancy(np.floor(idx, out=idx))
+    return grid, lo, origin
+
+
+def _surface_count(grid: np.ndarray) -> int:
+    """Occupied cells of a padded grid with at least one empty 6-neighbor."""
+    covered = grid[1:-1, 1:-1, 1:-1] & grid[2:, 1:-1, 1:-1]
+    covered &= grid[:-2, 1:-1, 1:-1]
+    covered &= grid[1:-1, 2:, 1:-1]
+    covered &= grid[1:-1, :-2, 1:-1]
+    covered &= grid[1:-1, 1:-1, 2:]
+    covered &= grid[1:-1, 1:-1, :-2]
+    return int(np.count_nonzero(grid)) - int(np.count_nonzero(covered))
 
 
 def voxelize(bundle: Bundle, voxel_size: float = 1.0) -> VoxelGrid:
@@ -205,18 +231,8 @@ def voxelize(bundle: Bundle, voxel_size: float = 1.0) -> VoxelGrid:
     The origin is the bundle bounding-box min corner, so the result is
     invariant under translation of the whole bundle.
     """
-    if voxel_size <= 0:
-        raise ValueError(f"voxel_size must be positive, got {voxel_size}")
-    return _voxelize_cat(bundle.all_points(), _offsets(bundle), voxel_size)
-
-
-def _voxelize_cat(cat: np.ndarray, off: np.ndarray, voxel_size: float) -> VoxelGrid:
-    samples = _bundle_samples(cat, off, voxel_size / 2.0)
-    origin = cat.min(axis=0)
-    idx = np.floor((samples - origin) / voxel_size).astype(np.int64)
-    lo = idx.min(axis=0) - 1  # headroom so neighbor offsets never underflow
-    keys = np.unique(_pack(idx, lo))
-    return VoxelGrid(voxel_size=float(voxel_size), origin=origin, indices=_unpack(keys, lo))
+    grid, lo, origin = _sample_grid(bundle.all_points(), _offsets(bundle), voxel_size)
+    return VoxelGrid(voxel_size=float(voxel_size), origin=origin, indices=np.argwhere(grid) + lo)
 
 
 def voxelize_points(points: np.ndarray, origin: np.ndarray, voxel_size: float) -> np.ndarray:
@@ -225,30 +241,15 @@ def voxelize_points(points: np.ndarray, origin: np.ndarray, voxel_size: float) -
     return np.unique(idx.astype(np.int64), axis=0)
 
 
-_NEIGHBOR_DELTAS = np.array(
-    [
-        [1, 0, 0], [-1, 0, 0],
-        [0, 1, 0], [0, -1, 0],
-        [0, 0, 1], [0, 0, -1],
-    ],
-    dtype=np.int64,
-)
-
-
 def count_surface_voxels(indices: np.ndarray) -> int:
-    """Number of occupied voxels with at least one unoccupied 6-neighbor."""
-    idx = np.asarray(indices, dtype=np.int64)
+    """Number of occupied voxels with at least one unoccupied 6-neighbor.
+
+    Repeated indices name the same voxel and count once.
+    """
+    idx = np.array(indices, dtype=np.int64)
     if idx.shape[0] == 0:
         return 0
-    lo = idx.min(axis=0) - 2
-    keys = np.sort(_pack(idx, lo))
-    exposed = np.zeros(keys.shape[0], dtype=bool)
-    for delta in _NEIGHBOR_DELTAS:
-        nkeys = _pack(idx + delta, lo)
-        pos = np.searchsorted(keys, nkeys)
-        pos[pos == keys.shape[0]] = 0  # out-of-range probes cannot match anyway
-        exposed |= keys[pos] != nkeys
-    return int(exposed.sum())
+    return _surface_count(_occupancy(idx)[0])
 
 
 def compute_measures(bundle: Bundle, voxel_size: float = 1.0) -> ShapeMeasures:
@@ -260,8 +261,6 @@ def compute_measures(bundle: Bundle, voxel_size: float = 1.0) -> ShapeMeasures:
     surface quantities come from the occupancy grid.
     """
     v = float(voxel_size)
-    if v <= 0:
-        raise ValueError(f"voxel_size must be positive, got {voxel_size}")
     cat = bundle.all_points()
     off = _offsets(bundle)
 
@@ -274,29 +273,25 @@ def compute_measures(bundle: Bundle, voxel_size: float = 1.0) -> ShapeMeasures:
     # apply the flip decisions of align_orientations to the endpoints
     # directly instead of materializing a flipped bundle.
     firsts, lasts = cat[off[:-1]], cat[off[1:] - 1]
-    ref = int(np.argmax(lengths))
-    ref_first, ref_last = firsts[ref], lasts[ref]
-    keep = np.linalg.norm(firsts - ref_first, axis=1) + np.linalg.norm(lasts - ref_last, axis=1)
-    swap = np.linalg.norm(firsts - ref_last, axis=1) + np.linalg.norm(lasts - ref_first, axis=1)
-    flip = (keep > swap)[:, None]
+    flip = _flips(firsts, lasts, lengths)[:, None]
     firsts, lasts = np.where(flip, lasts, firsts), np.where(flip, firsts, lasts)
     span = float(np.linalg.norm(firsts.mean(axis=0) - lasts.mean(axis=0)))
     if span < SPAN_EPS:
         raise DegenerateSpan(f"span {span:.3e} mm below {SPAN_EPS} mm")
     curl = length / span
 
-    grid = _voxelize_cat(cat, off, v)
-    volume = len(grid) * v ** 3
+    grid, _, origin = _sample_grid(cat, off, v)
+    volume = int(np.count_nonzero(grid)) * v ** 3
     diameter = 2.0 * np.sqrt(volume / (np.pi * length))
     elongation = length / diameter
-    surface_area = count_surface_voxels(grid.indices) * v ** 2
+    surface_area = _surface_count(grid) * v ** 2
 
     total_radius = 0.0
     total_end_area = 0.0
     for ends in (firsts, lasts):
         centroid = ends.mean(axis=0)
         total_radius += float(np.linalg.norm(ends - centroid, axis=1).mean())
-        total_end_area += voxelize_points(ends, grid.origin, v).shape[0] * v ** 2
+        total_end_area += voxelize_points(ends, origin, v).shape[0] * v ** 2
 
     irregularity = surface_area / (np.pi * diameter * length)
 

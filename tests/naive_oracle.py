@@ -3,8 +3,8 @@
 Deliberately simple: a full boolean occupancy array plus per-segment
 Python loops. The continuous per-segment arithmetic mirrors the library's
 floating-point expressions exactly, so results must match bit for bit;
-the voxel bookkeeping (dense array vs. packed sparse keys) is the
-independently implemented part under test.
+the voxel bookkeeping (per-voxel Python loops vs. the library's vectorized
+grid slices) is the independently implemented part under test.
 """
 
 import numpy as np

@@ -1,5 +1,7 @@
 """End-to-end command-line interface tests on a miniature run."""
 
+import shutil
+
 import pytest
 
 from bundleshape.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
@@ -64,6 +66,16 @@ class TestExitCodes:
         ini.write_text(TINY_INI.format(work=tmp_path / "empty"))
         assert main(["shape", "-c", str(ini)]) == EXIT_DATA
         assert "data error" in capsys.readouterr().err
+
+    def test_data_error_when_voxel_grid_too_large(self, tiny_run, tmp_path, capsys):
+        root, _ = tiny_run
+        shutil.copytree(root / "run" / "bundles", tmp_path / "run" / "bundles")
+        ini = tmp_path / "run.ini"
+        ini.write_text(TINY_INI.format(work=tmp_path / "run") + "\n[shape]\nvoxel_size = 1e-7\n")
+        assert main(["shape", "-c", str(ini)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestPipeline:

@@ -1,5 +1,7 @@
 """Shape oracle tests: analytic fixtures, invariances, brute-force equality."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from bundleshape.io import Bundle
 from bundleshape.shapes import (
     DegenerateBundle,
     DegenerateSpan,
+    GridTooLarge,
     align_orientations,
     compute_measures,
     count_surface_voxels,
@@ -137,15 +140,55 @@ class TestVoxelize:
         # A solid 4x4x4 block: 64 voxels, 56 on the surface.
         idx = np.array([[i, j, k] for i in range(4) for j in range(4) for k in range(4)])
         assert count_surface_voxels(idx) == 56
+        # A repeated index is one voxel.
+        assert count_surface_voxels([[0, 0, 0], [0, 0, 0]]) == 1
+
+    def test_axis_longer_than_2_pow_21_cells(self):
+        n = (1 << 21) + 5
+        grid = voxelize(Bundle((np.array([[0.25, 0.5, 0.5], [n - 0.75, 0.5, 0.5]]),)), 1.0)
+        extent = grid.indices.max(axis=0) - grid.indices.min(axis=0) + 1
+        np.testing.assert_array_equal(extent, [n, 1, 1])
+        assert len(grid) == n
 
     def test_bad_voxel_size(self):
-        with pytest.raises(ValueError):
-            voxelize(straight_line(), 0.0)
+        for v in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="voxel_size"):
+                voxelize(straight_line(), v)
+            with pytest.raises(ValueError, match="voxel_size"):
+                compute_measures(straight_line(), v)
 
     def test_occupied_property(self):
         grid = voxelize(straight_line(), 1.0)
         assert isinstance(grid.occupied, frozenset)
         assert len(grid.occupied) == len(grid)
+
+
+class TestBounds:
+    """Too many samples or grid cells raise GridTooLarge before allocating them."""
+
+    @staticmethod
+    def _peak_bytes(fn, *args):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridTooLarge):
+                fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_tiny_voxel_size(self):
+        b = random_bundle(np.random.default_rng(6))
+        assert self._peak_bytes(compute_measures, b, 1e-7) < 1 << 20
+
+    def test_far_apart_streamlines(self):
+        # Few samples, but a bounding box of ~1e8 cells.
+        near = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        b = Bundle((near, near + [0.0, 5000.0, 5000.0]))
+        assert self._peak_bytes(compute_measures, b, 1.0) < 1 << 20
+
+    def test_surface_count_of_spread_indices(self):
+        idx = np.array([[0, 0, 0], [10**6, 10**6, 10**6]])
+        assert self._peak_bytes(count_surface_voxels, idx) < 1 << 20
 
 
 class TestDegenerate:
@@ -158,7 +201,7 @@ class TestDegenerate:
 
 class TestBruteForce:
     def test_bit_exact_on_random_bundles(self):
-        """Sparse packed-key engine == dense-array naive oracle, bit for bit."""
+        """Vectorized grid slices == per-voxel Python loops, bit for bit."""
         rng = np.random.default_rng(11)
         checked = 0
         while checked < 20:
