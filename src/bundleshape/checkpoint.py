@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .features import TabStandardizer
-from .io import BadMagic, BadVersion, TruncatedFile
-from .net import VARIANTS
+from .io import BadMagic, BadVersion, MalformedHeader, TruncatedFile
+from .net import VARIANTS, param_shapes
 from .pca import PcaModel
 
 __all__ = ["TrainConfig", "Checkpoint", "save_checkpoint", "load_checkpoint"]
@@ -108,23 +108,36 @@ def load_checkpoint(data: bytes) -> Checkpoint:
     if len(data) < 9 + hlen:
         raise TruncatedFile("header truncated")
     header = json.loads(data[9 : 9 + hlen].decode("utf-8"))
+    try:
+        table = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+        config = TrainConfig(**header["config"])
+        has_standardizer = header["has_standardizer"]
+    except (KeyError, TypeError) as exc:
+        raise MalformedHeader(f"bad checkpoint header: {exc!r}") from None
 
     pos = 9 + hlen
     arrays: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
+    for name, shape in table:
         count = int(np.prod(shape)) if shape else 1
         nbytes = 8 * count
         if pos + nbytes > len(data):
-            raise TruncatedFile(f"array {entry['name']!r} truncated")
+            raise TruncatedFile(f"array {name!r} truncated")
         arr = np.frombuffer(data, dtype="<f8", count=count, offset=pos).reshape(shape)
-        arrays[entry["name"]] = arr.copy()
+        arrays[name] = arr.copy()
         pos += nbytes
 
-    config = TrainConfig(**header["config"])
-    params = {k[len("net.") :]: v for k, v in arrays.items() if k.startswith("net.")}
-    pca = PcaModel(**{f: arrays[f"pca.{f}"] for f in _PCA_FIELDS})
+    def array(name: str) -> np.ndarray:
+        if name not in arrays:
+            raise MalformedHeader(f"checkpoint has no array {name!r}")
+        return arrays[name]
+
+    params = {}
+    for name, shape in param_shapes(config.variant).items():
+        params[name] = array(f"net.{name}")
+        if params[name].shape != shape:
+            raise MalformedHeader(f"array 'net.{name}' has shape {params[name].shape}, not {shape}")
+    pca = PcaModel(**{f: array(f"pca.{f}") for f in _PCA_FIELDS})
     standardizer = None
-    if header["has_standardizer"]:
-        standardizer = TabStandardizer(mean=arrays["tab.mean"], sd=arrays["tab.sd"])
+    if has_standardizer:
+        standardizer = TabStandardizer(mean=array("tab.mean"), sd=array("tab.sd"))
     return Checkpoint(config=config, params=params, pca=pca, standardizer=standardizer)

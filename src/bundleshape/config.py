@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "config_hash", "describe_keys"]
@@ -135,8 +136,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("split fractions must be in (0, 1)")
     if cfg.train_frac + cfg.val_frac >= 1:
         raise ConfigError("train_frac + val_frac must leave room for a test split")
-    if cfg.voxel_size <= 0:
-        raise ConfigError("voxel_size must be positive")
+    if not 0 < cfg.voxel_size < math.inf:  # also refuses NaN
+        raise ConfigError("voxel_size must be positive and finite")
     if cfg.variant not in ("vanilla", "multimodal", "pca", "full"):
         raise ConfigError(f"unknown variant {cfg.variant!r}")
     if cfg.batch_size < 2 or cfg.batch_size % 2:

@@ -7,7 +7,9 @@ the config hash plus master seed for traceability.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
 import time
 from pathlib import Path
 
@@ -92,6 +94,19 @@ def report_path(cfg: RunConfig, variant: str | None = None) -> Path:
     return _work(cfg) / f"report_{variant or cfg.variant}.csv"
 
 
+@contextlib.contextmanager
+def _replace_on_success(path: Path):
+    """Write through a sibling temp file that replaces ``path`` only when
+    the block succeeds, so a failed run leaves the previous file intact."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def run_synth(cfg: RunConfig):
     """Generate the synthetic dataset and its manifest."""
     return generate_dataset(_dataset_config(cfg), header_comment=stamp(cfg))
@@ -101,7 +116,7 @@ def run_shape(cfg: RunConfig) -> Path:
     """Compute ground-truth measures for every bundle in the manifest."""
     rows = read_manifest(manifest_path(cfg))
     out = measures_path(cfg)
-    with open(out, "w", newline="") as fh:
+    with _replace_on_success(out) as fh:
         fh.write(f"# {stamp(cfg)}\n")
         writer = csv.writer(fh)
         writer.writerow(["path"] + list(MEASURE_NAMES))
@@ -138,7 +153,7 @@ def run_pca(cfg: RunConfig) -> Path:
     train_rows = measures[[i for i, r in enumerate(rows) if r.split == "train"]]
     model = shape_pca.fit(train_rows, k=cfg.pca_k)
     out = _work(cfg) / "pca_model.csv"
-    with open(out, "w", newline="") as fh:
+    with _replace_on_success(out) as fh:
         fh.write(f"# {stamp(cfg)}\n")
         writer = csv.writer(fh)
         writer.writerow(["quantity", "component"] + list(MEASURE_NAMES))
@@ -211,7 +226,7 @@ def run_predict(
     idx = data.indices(split)
     preds = predict_measures(ckpt, data.points[idx], data.tabular[idx])
     out = predictions_path(cfg, variant)
-    with open(out, "w", newline="") as fh:
+    with _replace_on_success(out) as fh:
         fh.write(f"# {stamp(cfg)}\n")
         writer = csv.writer(fh)
         writer.writerow(["path"] + list(MEASURE_NAMES))
@@ -240,7 +255,7 @@ def write_ablation_tables(cfg: RunConfig, reports: dict[str, EvalReport]) -> tup
     paths = []
     for metric in ("pearson", "nmse"):
         out = _work(cfg) / f"ablation_{metric}.csv"
-        with open(out, "w", newline="") as fh:
+        with _replace_on_success(out) as fh:
             fh.write(f"# {stamp(cfg)}\n")
             writer = csv.writer(fh)
             variants = [v for v in VARIANTS if v in reports]

@@ -1,5 +1,8 @@
 """Checkpoint serialization: bit-exact round trips and typed failures."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from bundleshape.checkpoint import (
     save_checkpoint,
 )
 from bundleshape.features import fit_standardizer
-from bundleshape.io import BadMagic, BadVersion, TruncatedFile
+from bundleshape.io import BadMagic, BadVersion, MalformedHeader, TruncatedFile
 from bundleshape.net import init_params
 
 
@@ -27,6 +30,22 @@ def make_checkpoint(variant="full"):
         pca=model,
         standardizer=std,
     )
+
+
+def edited(blob, edit):
+    """Re-encode a checkpoint blob after ``edit(header, payloads)`` has
+    changed its JSON header and its array name -> raw bytes map."""
+    (hlen,) = struct.unpack_from("<I", blob, 5)
+    header = json.loads(blob[9 : 9 + hlen])
+    payloads, pos = {}, 9 + hlen
+    for entry in header["arrays"]:
+        nbytes = 8 * int(np.prod(entry["shape"]))
+        payloads[entry["name"]] = blob[pos : pos + nbytes]
+        pos += nbytes
+    edit(header, payloads)
+    new = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = b"".join(payloads[entry["name"]] for entry in header["arrays"])
+    return blob[:5] + struct.pack("<I", len(new)) + new + body
 
 
 class TestRoundTrip:
@@ -65,6 +84,27 @@ class TestFailures:
         for cut in (2, 6, 40, len(blob) - 5):
             with pytest.raises(TruncatedFile):
                 load_checkpoint(blob[:cut])
+
+    def test_unknown_config_key(self):
+        blob = edited(save_checkpoint(make_checkpoint()), lambda h, _: h["config"].update(bogus=1))
+        with pytest.raises(MalformedHeader, match="bogus"):
+            load_checkpoint(blob)
+
+    @pytest.mark.parametrize("name", ["tab.sd", "pca.components", "net.head0.b"])
+    def test_missing_array(self, name):
+        def drop(header, _):
+            header["arrays"] = [e for e in header["arrays"] if e["name"] != name]
+
+        with pytest.raises(MalformedHeader, match=name):
+            load_checkpoint(edited(save_checkpoint(make_checkpoint()), drop))
+
+    def test_wrong_param_shape(self):
+        def reshape(header, _):
+            (entry,) = [e for e in header["arrays"] if e["name"] == "net.head0.b"]
+            entry["shape"] = [2, 64]  # same 128 values, wrong shape
+
+        with pytest.raises(MalformedHeader, match="head0.b"):
+            load_checkpoint(edited(save_checkpoint(make_checkpoint()), reshape))
 
 
 class TestTrainConfig:

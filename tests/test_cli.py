@@ -77,6 +77,19 @@ class TestExitCodes:
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_failed_rerun_keeps_previous_measures(self, tiny_run, tmp_path, capsys):
+        root, _ = tiny_run
+        shutil.copytree(root / "run" / "bundles", tmp_path / "run" / "bundles")
+        ini = tmp_path / "run.ini"
+        ini.write_text(TINY_INI.format(work=tmp_path / "run"))
+        assert main(["shape", "-c", str(ini)]) == EXIT_OK
+        measures = tmp_path / "run" / "measures.csv"
+        before = measures.read_bytes()
+        ini.write_text(TINY_INI.format(work=tmp_path / "run") + "\n[shape]\nvoxel_size = 1e-7\n")
+        assert main(["shape", "-c", str(ini)]) == EXIT_DATA
+        assert measures.read_bytes() == before
+        assert sorted(p.name for p in measures.parent.iterdir()) == ["bundles", "measures.csv"]
+
 
 class TestPipeline:
     def test_synth_outputs(self, tiny_run):

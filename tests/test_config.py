@@ -44,8 +44,9 @@ class TestLoad:
     def test_validation(self):
         with pytest.raises(ConfigError):
             load_config(None, overrides={"train_frac": 0.9, "val_frac": 0.2})
-        with pytest.raises(ConfigError):
-            load_config(None, overrides={"voxel_size": -1.0})
+        for voxel_size in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                load_config(None, overrides={"voxel_size": voxel_size})
         with pytest.raises(ConfigError):
             load_config(None, overrides={"variant": "nope"})
         with pytest.raises(ConfigError):

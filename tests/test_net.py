@@ -1,11 +1,14 @@
 """Network tests: gradients, invariances, loss identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bundleshape.net import (
     HEAD_HIDDEN,
     POINT_WIDTHS,
+    POOL_CHUNK_POINTS,
     TAB_WIDTHS,
     VARIANTS,
     ShapeMismatch,
@@ -70,6 +73,51 @@ class TestStructure:
             forward(params, np.zeros((2, 8, 3)), None, "full")
         with pytest.raises(ShapeMismatch):
             forward(params, np.zeros((2, 8, 3)), np.zeros((3, 2)), "full")
+        with pytest.raises(ShapeMismatch):
+            forward(params, np.zeros((2, 0, 3)), np.zeros((2, 2)), "full")
+
+
+class TestChunkedInference:
+    """The inference path (chunks of whole clouds, pooled before the last
+    bias and ReLU) must give exactly the training path's predictions."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize(
+        "batch, n_points",
+        [
+            (5, 1024),  # 2 clouds per chunk, last chunk holds one
+            (1, 64),
+            (3, 1),
+            (POOL_CHUNK_POINTS + 3, 1),  # one chunk of 2048 clouds, then 3
+            (2, POOL_CHUNK_POINTS + 5),  # one cloud per chunk
+        ],
+    )
+    def test_equals_cached_path(self, variant, dtype, batch, n_points):
+        rng = np.random.default_rng(batch * 7919 + n_points)
+        params = init_params(variant, seed=11)
+        # Nonzero biases, so pooling before the last bias is exercised.
+        for name in params:
+            if name.endswith(".b"):
+                params[name] = rng.normal(scale=0.5, size=params[name].shape)
+        pts, tab = small_inputs(rng, variant, batch=batch, n_points=n_points)
+        fast = forward(params, pts, tab, variant, dtype=dtype)
+        cached, _ = forward(params, pts, tab, variant, want_cache=True, dtype=dtype)
+        assert fast.dtype == cached.dtype == dtype
+        np.testing.assert_array_equal(fast, cached)
+
+    def test_subject_batch_memory(self):
+        params = init_params("full", seed=0)
+        rng = np.random.default_rng(9)
+        pts, tab = rng.normal(size=(73, 1024, 3)), rng.normal(size=(73, 2))
+        tracemalloc.start()
+        try:
+            forward(params, pts, tab, "full", dtype=np.float32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One full-size float32 activation of the 256-wide layer alone is 77 MB.
+        assert peak < 32 * 2**20
 
 
 class TestInvariances:
