@@ -3,13 +3,15 @@ standardizer, and the training configuration in one self-describing file.
 
 Layout: magic ``T2S1``, version byte, little-endian u32 JSON header
 length, JSON header (config plus an array name/shape table), then the
-raw array payloads as little-endian float64 in table order. Round trips
-are bit-exact.
+raw array payloads as little-endian float64 in table order, up to the end
+of the file. Every array is a scalar, vector or matrix. Round trips are
+bit-exact.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 
@@ -107,24 +109,26 @@ def load_checkpoint(data: bytes) -> Checkpoint:
     (hlen,) = struct.unpack_from("<I", data, 5)
     if len(data) < 9 + hlen:
         raise TruncatedFile("header truncated")
-    header = json.loads(data[9 : 9 + hlen].decode("utf-8"))
     try:
-        table = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+        header = json.loads(data[9 : 9 + hlen].decode("utf-8"))
+        table = [(entry["name"], list(entry["shape"])) for entry in header["arrays"]]
         config = TrainConfig(**header["config"])
         has_standardizer = header["has_standardizer"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: not UTF-8 JSON, bad config value
         raise MalformedHeader(f"bad checkpoint header: {exc!r}") from None
 
     pos = 9 + hlen
     arrays: dict[str, np.ndarray] = {}
     for name, shape in table:
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = 8 * count
-        if pos + nbytes > len(data):
+        if not isinstance(name, str) or len(shape) > 2 or not all(type(n) is int and n >= 0 for n in shape):
+            raise MalformedHeader(f"bad array table entry {name!r} with shape {shape!r}")
+        count = math.prod(shape)
+        if pos + 8 * count > len(data):
             raise TruncatedFile(f"array {name!r} truncated")
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=pos).reshape(shape)
-        arrays[name] = arr.copy()
-        pos += nbytes
+        arrays[name] = np.frombuffer(data, dtype="<f8", count=count, offset=pos).reshape(shape).copy()
+        pos += 8 * count
+    if pos != len(data):
+        raise MalformedHeader(f"{len(data) - pos} trailing bytes after the last array")
 
     def array(name: str) -> np.ndarray:
         if name not in arrays:

@@ -30,7 +30,7 @@ POINT_SCALE = 0.05
 
 
 class ZeroVariance(ValueError):
-    """A column has no variance; standardization is undefined."""
+    """A column or vector has no variance; standardization or correlation is undefined."""
 
 
 def sample_points(bundle: Bundle, n: int = DEFAULT_N_POINTS, seed: int = 0) -> np.ndarray:

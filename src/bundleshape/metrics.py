@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .features import ZeroVariance
 from .shapes import MEASURE_NAMES
 
 __all__ = [
@@ -26,10 +27,6 @@ __all__ = [
     "evaluate",
     "write_report",
 ]
-
-
-class ZeroVariance(ValueError):
-    pass
 
 
 class ZeroVarianceDiffs(ValueError):

@@ -43,7 +43,6 @@ __all__ = [
     "run_gradcheck",
     "run_bench",
     "read_measures_csv",
-    "read_predictions_csv",
 ]
 
 SUBJECT_EQUIVALENT_BUNDLES = 73  # fiber clusters per subject in typical atlases
@@ -142,9 +141,6 @@ def read_measures_csv(path) -> tuple[list[str], np.ndarray]:
     return paths, np.asarray(rows, dtype=np.float64)
 
 
-read_predictions_csv = read_measures_csv
-
-
 def run_pca(cfg: RunConfig) -> Path:
     """Fit the PCA on train-split measures and export it as CSV."""
     rows = read_manifest(manifest_path(cfg))
@@ -238,7 +234,7 @@ def run_predict(
 def run_eval(cfg: RunConfig, variant: str | None = None) -> EvalReport:
     """Score predictions against ground truth; writes the report CSV."""
     variant = variant or cfg.variant
-    pred_paths, preds = read_predictions_csv(predictions_path(cfg, variant))
+    pred_paths, preds = read_measures_csv(predictions_path(cfg, variant))
     gt_paths, gt = read_measures_csv(measures_path(cfg))
     gt_by_path = {p: gt[i] for i, p in enumerate(gt_paths)}
     missing = [p for p in pred_paths if p not in gt_by_path]

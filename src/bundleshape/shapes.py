@@ -4,9 +4,11 @@ Measures: length, span, curl, elongation, diameter, volume, total surface
 area, total radius of end regions, total area of end regions, and
 irregularity. Volume and surface quantities come from a dense boolean
 occupancy grid over the supersampled streamlines; everything else is
-computed directly from coordinates. The grid is bounded: a bundle whose
-voxelization would need more than MAX_SAMPLES samples or MAX_GRID_CELLS
-cells raises GridTooLarge instead of exhausting memory.
+computed directly from coordinates. Samples are built one coordinate axis
+at a time, as contiguous 1-D columns of voxel indices, and mark the grid
+through one flat index. The grid is bounded: a bundle whose voxelization
+would need more than MAX_SAMPLES samples or MAX_GRID_CELLS cells raises
+GridTooLarge instead of exhausting memory.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ __all__ = [
 
 SPAN_EPS = 1e-6  # mm; spans below this are treated as degenerate
 
-# Memory bounds of one voxelization: each supersample holds ~72 bytes at the
-# peak of sampling, each grid cell ~3 bytes while surfaces are counted. The
-# largest bundle of the default dataset at 1 mm needs ~9e4 samples and
-# ~4e5 cells; an axis of more than 2**21 cells must still fit.
+# Memory bounds of one voxelization: each supersample holds ~48 bytes at the
+# peak of sampling (three coordinate columns, segment id, step fraction, one
+# temporary; 8 bytes each), each grid cell ~3 bytes while surfaces are
+# counted. The largest bundle of the default dataset at 1 mm needs ~9e4
+# samples and ~4e5 cells; an axis of more than 2**21 cells must still fit.
 MAX_SAMPLES = 1 << 23
 MAX_GRID_CELLS = 1 << 26
 
@@ -110,7 +113,7 @@ def align_orientations(bundle: Bundle) -> Bundle:
     """
     cat = bundle.all_points()
     off = _offsets(bundle)
-    flips = _flips(cat[off[:-1]], cat[off[1:] - 1], _arc_lengths_cat(cat, off))
+    flips = _flips(cat[off[:-1]], cat[off[1:] - 1], _arc_lengths(_segments(cat, off)[2], off))
     aligned = [s[::-1] if flip else s for s, flip in zip(bundle.streamlines, flips)]
     return Bundle(
         tuple(aligned),
@@ -135,80 +138,81 @@ def _offsets(bundle: Bundle) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts)))
 
 
-def _arc_lengths_cat(cat: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Per-streamline arc lengths in one vectorized pass."""
-    seg = np.diff(cat, axis=0)
-    valid = np.ones(seg.shape[0], dtype=bool)
-    valid[off[1:-1] - 1] = False  # drop rows straddling two streamlines
-    seg_len = np.sqrt(np.einsum("ij,ij->i", seg, seg))[valid]
-    # After compression, streamline j's segments start at off[j] - j. Plain
-    # slice sums keep the rounding independent of neighboring streamlines
-    # (np.add.reduceat's grouping depends on bucket alignment).
-    n = off.shape[0] - 1
-    starts = off - np.arange(n + 1)
-    return np.array([seg_len[starts[j] : starts[j + 1]].sum() for j in range(n)])
+def _segments(cat: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Segments between consecutive rows of the concatenated point array.
 
-
-def _bundle_samples(cat: np.ndarray, off: np.ndarray, max_step: float) -> np.ndarray:
-    """Supersample every streamline of a bundle in one vectorized pass.
-
-    Each segment is split into ceil(length / max_step) equal steps (at
-    least one) and sampled at the end of every step; each streamline's
-    first vertex is added once. The order of the samples carries no
-    meaning; callers only use them as an unordered set.
+    Returns (vectors, start points, lengths). Streamline j's segments are
+    rows off[j] to off[j + 1] - 2; the row at off[j + 1] - 1 joins it to
+    the next streamline and gets length 0.
     """
     seg = np.diff(cat, axis=0)
-    valid = np.ones(seg.shape[0], dtype=bool)
-    valid[off[1:-1] - 1] = False  # drop segments straddling two streamlines
-    seg = seg[valid]
-    base = cat[:-1][valid]
     seg_len = np.sqrt(np.einsum("ij,ij->i", seg, seg))
-    if float(seg_len.sum()) <= 0.0:
-        raise DegenerateBundle("total arc length is zero")
-    steps = np.maximum(np.ceil(seg_len / max_step), 1.0)  # float: cannot wrap around
-    n_samples = float(steps.sum()) + (off.shape[0] - 1)
-    if not n_samples <= MAX_SAMPLES:
-        raise GridTooLarge(f"{n_samples:.3g} samples exceed {MAX_SAMPLES}; use a larger voxel_size")
-    counts = steps.astype(np.int64)
-    total = int(counts.sum())
-    seg_id = np.repeat(np.arange(counts.shape[0]), counts)
-    offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
-    within = np.arange(total) - offsets[seg_id] + 1
-    t = within / counts[seg_id]
-    samples = seg[seg_id]
-    samples *= t[:, None]
-    samples += base[seg_id]
-    return np.concatenate((cat[off[:-1]], samples), axis=0)
+    seg_len[off[1:-1] - 1] = 0.0
+    return seg, cat[:-1], seg_len
 
 
-def _occupancy(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean grid of the given integer-valued voxel indices.
+def _arc_lengths(seg_len: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Per-streamline arc lengths from the segment lengths of :func:`_segments`."""
+    # Plain slice sums keep the rounding independent of neighboring
+    # streamlines (np.add.reduceat's grouping depends on bucket alignment).
+    return np.array([seg_len[off[j] : off[j + 1] - 1].sum() for j in range(off.shape[0] - 1)])
+
+
+def _occupancy(cols) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean grid of integer-valued voxel indices given as three columns.
 
     The grid spans the indices' bounding box plus one empty cell on each
     side, so every occupied cell has all six neighbors inside the grid.
-    Returns the grid and the voxel index of its cell [0, 0, 0]. Shifts
-    ``idx`` in place to grid coordinates.
+    Returns the grid and the voxel index of its cell [0, 0, 0].
     """
-    lo = idx.min(axis=0) - 1
-    shape = idx.max(axis=0) - lo + 2
+    lo = np.array([c.min() for c in cols]) - 1
+    shape = np.array([c.max() for c in cols]) - lo + 2
     cells = float(np.prod(shape, dtype=np.float64))  # float: cannot overflow
     if not cells <= MAX_GRID_CELLS:
         raise GridTooLarge(f"{cells:.3g} grid cells exceed {MAX_GRID_CELLS}; use a larger voxel_size")
-    grid = np.zeros(shape.astype(np.intp), dtype=bool)
-    idx -= lo
-    grid[tuple(idx.astype(np.intp, copy=False).T)] = True
-    return grid, lo.astype(np.int64)
+    i, j, k = cols
+    flat = ((i - lo[0]) * shape[1] + (j - lo[1])) * shape[2] + (k - lo[2])  # exact below MAX_GRID_CELLS
+    grid = np.zeros(int(cells), dtype=bool)
+    grid[flat.astype(np.intp, copy=False)] = True
+    return grid.reshape(shape.astype(np.intp)), lo.astype(np.int64)
 
 
-def _sample_grid(cat: np.ndarray, off: np.ndarray, voxel_size: float) -> tuple:
-    """Occupancy grid of a bundle's samples: (grid, low corner, origin)."""
+def _sample_grid(cat: np.ndarray, off: np.ndarray, segments: tuple, voxel_size: float) -> tuple:
+    """Occupancy grid of a bundle's supersamples: (grid, low corner, origin).
+
+    Each segment is split into ceil(length / (voxel_size/2)) equal steps (at
+    least one) and sampled at the end of every step; each streamline's
+    first vertex is added once.
+    """
     if not 0 < voxel_size < np.inf:
         raise ValueError(f"voxel_size must be positive and finite, got {voxel_size}")
-    idx = _bundle_samples(cat, off, voxel_size / 2.0)
+    seg, base, seg_len = segments
+    if float(seg_len.sum()) <= 0.0:
+        raise DegenerateBundle("total arc length is zero")
+    steps = np.maximum(np.ceil(seg_len / (voxel_size / 2.0)), 1.0)  # float: cannot wrap around
+    steps[off[1:-1] - 1] = 0.0  # no samples between two streamlines
+    n_first = off.shape[0] - 1
+    n_samples = float(steps.sum()) + n_first
+    if not n_samples <= MAX_SAMPLES:
+        raise GridTooLarge(f"{n_samples:.3g} samples exceed {MAX_SAMPLES}; use a larger voxel_size")
+    counts = steps.astype(np.int64)
+    seg_id = np.repeat(np.arange(counts.shape[0]), counts)
+    within = np.arange(1, seg_id.shape[0] + 1) - (np.cumsum(counts) - counts).take(seg_id)
+    t = within / counts.take(seg_id)  # step fractions j / count, j = 1..count
+    del within
     origin = cat.min(axis=0)
-    idx -= origin
-    idx /= voxel_size
-    grid, lo = _occupancy(np.floor(idx, out=idx))
+    cols = []
+    for a in range(3):
+        x = np.empty(n_first + t.shape[0])
+        x[:n_first] = cat[off[:-1], a]
+        samples = np.take(seg[:, a], seg_id, out=x[n_first:])
+        samples *= t
+        samples += base[:, a].take(seg_id)
+        x -= origin[a]
+        x /= voxel_size
+        cols.append(np.floor(x, out=x))
+    del seg_id, t
+    grid, lo = _occupancy(cols)
     return grid, lo, origin
 
 
@@ -231,7 +235,8 @@ def voxelize(bundle: Bundle, voxel_size: float = 1.0) -> VoxelGrid:
     The origin is the bundle bounding-box min corner, so the result is
     invariant under translation of the whole bundle.
     """
-    grid, lo, origin = _sample_grid(bundle.all_points(), _offsets(bundle), voxel_size)
+    cat, off = bundle.all_points(), _offsets(bundle)
+    grid, lo, origin = _sample_grid(cat, off, _segments(cat, off), voxel_size)
     return VoxelGrid(voxel_size=float(voxel_size), origin=origin, indices=np.argwhere(grid) + lo)
 
 
@@ -246,10 +251,10 @@ def count_surface_voxels(indices: np.ndarray) -> int:
 
     Repeated indices name the same voxel and count once.
     """
-    idx = np.array(indices, dtype=np.int64)
+    idx = np.asarray(indices, dtype=np.int64)
     if idx.shape[0] == 0:
         return 0
-    return _surface_count(_occupancy(idx)[0])
+    return _surface_count(_occupancy(idx.T)[0])
 
 
 def compute_measures(bundle: Bundle, voxel_size: float = 1.0) -> ShapeMeasures:
@@ -263,8 +268,9 @@ def compute_measures(bundle: Bundle, voxel_size: float = 1.0) -> ShapeMeasures:
     v = float(voxel_size)
     cat = bundle.all_points()
     off = _offsets(bundle)
+    segments = _segments(cat, off)
 
-    lengths = _arc_lengths_cat(cat, off)
+    lengths = _arc_lengths(segments[2], off)
     length = float(lengths.mean())
     if length <= 0.0:
         raise DegenerateBundle("total arc length is zero")
@@ -280,7 +286,7 @@ def compute_measures(bundle: Bundle, voxel_size: float = 1.0) -> ShapeMeasures:
         raise DegenerateSpan(f"span {span:.3e} mm below {SPAN_EPS} mm")
     curl = length / span
 
-    grid, _, origin = _sample_grid(cat, off, v)
+    grid, _, origin = _sample_grid(cat, off, segments, v)
     volume = int(np.count_nonzero(grid)) * v ** 3
     diameter = 2.0 * np.sqrt(volume / (np.pi * length))
     elongation = length / diameter

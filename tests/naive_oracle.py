@@ -29,6 +29,17 @@ def _naive_samples(s, max_step):
     return np.array(out)
 
 
+def naive_voxel_indices(bundle, voxel_size):
+    """Voxel index of every supersample, one row each, from the bounding-box min corner."""
+    v = float(voxel_size)
+    origin = np.concatenate(bundle.streamlines, axis=0).min(axis=0)
+    all_idx = []
+    for s in bundle.streamlines:
+        samples = _naive_samples(s, v / 2.0)
+        all_idx.append(np.floor((samples - origin) / v).astype(np.int64))
+    return np.concatenate(all_idx, axis=0)
+
+
 def naive_measures(bundle, voxel_size=1.0):
     v = float(voxel_size)
 
@@ -53,11 +64,7 @@ def naive_measures(bundle, voxel_size=1.0):
     origin = np.concatenate(bundle.streamlines, axis=0).min(axis=0)
 
     # Dense occupancy array.
-    all_idx = []
-    for s in bundle.streamlines:
-        samples = _naive_samples(s, v / 2.0)
-        all_idx.append(np.floor((samples - origin) / v).astype(np.int64))
-    all_idx = np.concatenate(all_idx, axis=0)
+    all_idx = naive_voxel_indices(bundle, v)
     lo = all_idx.min(axis=0)
     hi = all_idx.max(axis=0)
     shape = tuple(hi - lo + 1)

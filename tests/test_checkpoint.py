@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundleshape import pca
 from bundleshape.checkpoint import (
@@ -14,7 +16,7 @@ from bundleshape.checkpoint import (
     save_checkpoint,
 )
 from bundleshape.features import fit_standardizer
-from bundleshape.io import BadMagic, BadVersion, MalformedHeader, TruncatedFile
+from bundleshape.io import BadMagic, BadVersion, BundleIOError, MalformedHeader, TruncatedFile
 from bundleshape.net import init_params
 
 
@@ -105,6 +107,80 @@ class TestFailures:
 
         with pytest.raises(MalformedHeader, match="head0.b"):
             load_checkpoint(edited(save_checkpoint(make_checkpoint()), reshape))
+
+
+    def test_trailing_bytes(self):
+        with pytest.raises(MalformedHeader, match="trailing"):
+            load_checkpoint(save_checkpoint(make_checkpoint()) + b"garbage!")
+
+    @pytest.mark.parametrize("header", [b'{"arrays": "\xff"}', b"{not json"], ids=["not_utf8", "not_json"])
+    def test_undecodable_header(self, header):
+        blob = save_checkpoint(make_checkpoint())[:5] + struct.pack("<I", len(header)) + header
+        with pytest.raises(MalformedHeader, match="Decode"):
+            load_checkpoint(blob)
+
+    @pytest.mark.parametrize(
+        "index, shape",
+        [
+            (0, [2.5]),
+            (0, ["a"]),
+            # The last array (tab.sd) would take exactly the bytes left over.
+            (-1, [-1]),
+            (0, [-2, -3]),
+            (-1, [1] * 70 + [2]),
+        ],
+        ids=["float", "str", "minus_one", "negative_pair", "71_dims"],
+    )
+    def test_bad_shape(self, index, shape):
+        def set_shape(header, _):
+            header["arrays"][index]["shape"] = shape
+
+        with pytest.raises(MalformedHeader, match="bad array table entry"):
+            load_checkpoint(edited(save_checkpoint(make_checkpoint()), set_shape))
+
+
+BLOB = save_checkpoint(make_checkpoint("vanilla"))
+HEADER_END = 9 + struct.unpack_from("<I", BLOB, 5)[0]
+
+
+def load_or_typed_error(blob):
+    """Load a damaged blob: it may load, or raise a BundleIOError subclass."""
+    try:
+        load_checkpoint(blob)
+    except BundleIOError:
+        pass
+
+
+class TestFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, len(BLOB) - 1))
+    def test_truncated(self, cut):
+        with pytest.raises(TruncatedFile):
+            load_checkpoint(BLOB[:cut])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.binary(min_size=1, max_size=64))
+    def test_appended(self, tail):
+        with pytest.raises(BundleIOError):
+            load_checkpoint(BLOB + tail)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                # Mostly in the magic, length and JSON header; sometimes anywhere.
+                st.one_of(st.integers(0, HEADER_END - 1), st.integers(0, len(BLOB) - 1)),
+                st.integers(1, 255),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_flipped(self, flips):
+        blob = bytearray(BLOB)
+        for pos, mask in flips:
+            blob[pos] ^= mask
+        load_or_typed_error(bytes(blob))
 
 
 class TestTrainConfig:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from bundleshape import features
 from bundleshape.metrics import (
     EvalReport,
     OutOfRange,
@@ -44,6 +45,7 @@ class TestPearson:
     def test_zero_variance(self):
         with pytest.raises(ZeroVariance):
             pearson_r(np.ones(5), np.arange(5.0))
+        assert ZeroVariance is features.ZeroVariance  # one class for both modules
 
     def test_bad_shapes(self):
         with pytest.raises(ValueError):
