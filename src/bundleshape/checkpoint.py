@@ -19,7 +19,7 @@ import numpy as np
 
 from .features import TabStandardizer
 from .io import BadMagic, BadVersion, MalformedHeader, TruncatedFile
-from .net import VARIANTS, param_shapes
+from .net import check_variant, param_shapes
 from .pca import PcaModel
 
 __all__ = ["TrainConfig", "Checkpoint", "save_checkpoint", "load_checkpoint"]
@@ -43,10 +43,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+        check_variant(self.variant)
         if self.batch_size < 2 or self.batch_size % 2 != 0:
-            raise ValueError("batch_size must be even (Siamese pairing)")
+            raise ValueError("batch_size must be even and >= 2 (Siamese pairing)")
         if self.lam_pair < 0:
             raise ValueError("lam_pair must be >= 0")
 

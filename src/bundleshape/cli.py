@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Subcommands: synth, shape, pca, train, predict, eval, gradcheck, bench.
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure
+(a failed gradcheck, a diverged training run, non-finite measures or
+predictions, or a float overflow).
 """
 
 from __future__ import annotations
@@ -120,6 +122,9 @@ def main(argv=None) -> int:
                 f"per {result['n_bundles']}-bundle subject-equivalent: "
                 f"oracle {result['oracle_s']:.3f} s, model {result['model_s']:.3f} s"
             )
+    except ArithmeticError as exc:  # non-finite loss, measures or predictions; overflow
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (BundleIOError, BundleError, DegenerateBundle, DegenerateSpan, FileNotFoundError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

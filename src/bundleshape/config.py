@@ -12,6 +12,8 @@ import hashlib
 import math
 from dataclasses import dataclass, fields, replace
 
+from .checkpoint import TrainConfig
+
 __all__ = ["ConfigError", "RunConfig", "load_config", "config_hash", "describe_keys"]
 
 
@@ -56,6 +58,23 @@ class RunConfig:
     lam_pair: float = 1.0
     weight_decay: float = 0.005
     train_seed: int = 0
+
+    def train_config(self, variant: str | None = None) -> TrainConfig:
+        """The [train] settings (``variant`` overrides the configured one);
+        raises ValueError for a setting TrainConfig refuses."""
+        return TrainConfig(
+            variant=variant or self.variant,
+            batch_size=self.batch_size,
+            epochs=self.epochs,
+            lr0=self.lr0,
+            sched_period=self.sched_period,
+            sched_gamma=self.sched_gamma,
+            lam_pair=self.lam_pair,
+            weight_decay=self.weight_decay,
+            n_points=self.n_points,
+            pca_k=self.pca_k,
+            seed=self.train_seed,
+        )
 
 
 _SCHEMA: dict[str, tuple[str, ...]] = {
@@ -138,12 +157,12 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("train_frac + val_frac must leave room for a test split")
     if not 0 < cfg.voxel_size < math.inf:  # also refuses NaN
         raise ConfigError("voxel_size must be positive and finite")
-    if cfg.variant not in ("vanilla", "multimodal", "pca", "full"):
-        raise ConfigError(f"unknown variant {cfg.variant!r}")
-    if cfg.batch_size < 2 or cfg.batch_size % 2:
-        raise ConfigError("batch_size must be even and >= 2")
     if not 1 <= cfg.pca_k <= 10:
         raise ConfigError("pca_k must be in [1, 10]")
+    try:
+        cfg.train_config()  # variant, batch size and lam_pair are checked there
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def config_hash(cfg: RunConfig) -> str:

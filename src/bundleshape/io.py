@@ -14,8 +14,11 @@ documented lossy boundary.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +36,7 @@ __all__ = [
     "write_polydata",
     "read_native",
     "write_native",
+    "replace_on_success",
 ]
 
 NATIVE_MAGIC = b"T2SB"
@@ -332,3 +336,19 @@ def read_native(data: bytes, subject_id: str = "", cluster_id: str = "") -> Bund
     if not streamlines:
         raise TruncatedFile("bundle with zero streamlines")
     return Bundle(tuple(streamlines), subject_id=subject_id, cluster_id=cluster_id)
+
+
+@contextlib.contextmanager
+def replace_on_success(path, binary: bool = False):
+    """Write through a sibling temp file that replaces ``path`` only when
+    the block succeeds, so a failed run leaves the previous file intact.
+    Yields a text handle (newline="" for csv) or, with ``binary``, a
+    bytes handle."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

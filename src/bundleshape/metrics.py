@@ -1,6 +1,6 @@
 """Evaluation metrics and the statistical transforms used for reporting:
 Pearson's r, variance-normalized MSE, Fisher's r-to-z, and the paired
-t-test (p-value via the regularized incomplete beta function).
+t-test (p-value via SciPy's regularized incomplete beta function).
 """
 
 from __future__ import annotations
@@ -10,8 +10,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .features import ZeroVariance
+from .io import replace_on_success
 from .shapes import MEASURE_NAMES
 
 __all__ = [
@@ -23,7 +25,6 @@ __all__ = [
     "nmse",
     "fisher_z",
     "paired_t",
-    "betainc_regularized",
     "evaluate",
     "write_report",
 ]
@@ -74,62 +75,6 @@ def fisher_z(r: float) -> float:
     return math.atanh(r)
 
 
-def betainc_regularized(a: float, b: float, x: float, tol: float = 1e-10) -> float:
-    """Regularized incomplete beta I_x(a, b) via Lentz continued fraction."""
-    if not 0.0 <= x <= 1.0:
-        raise OutOfRange(f"x must be in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1) / (a + b + 2):
-        return front * _betacf(a, b, x, tol) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x, tol) / b
-
-
-def _betacf(a: float, b: float, x: float, tol: float) -> float:
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 500):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < tol:
-            return h
-    raise RuntimeError("continued fraction for incomplete beta did not converge")
-
-
 def paired_t(a, b) -> tuple[float, int, float]:
     """Paired t-test; returns (t, dof, two-sided p)."""
     a = np.asarray(a, dtype=np.float64)
@@ -143,7 +88,7 @@ def paired_t(a, b) -> tuple[float, int, float]:
         raise ZeroVarianceDiffs("differences have zero variance")
     t = float(d.mean() / (sd / math.sqrt(n)))
     dof = n - 1
-    p = betainc_regularized(dof / 2.0, 0.5, dof / (dof + t * t))
+    p = float(special.betainc(dof / 2.0, 0.5, dof / (dof + t * t)))
     return t, dof, p
 
 
@@ -186,7 +131,7 @@ def evaluate(predictions, ground_truth, variant: str = "full") -> EvalReport:
 
 def write_report(report: EvalReport, path, header_comment: str | None = None) -> None:
     """CSV: one row per measure plus a trailing average row with mean±sd."""
-    with open(path, "w", newline="") as fh:
+    with replace_on_success(path) as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         writer = csv.writer(fh)

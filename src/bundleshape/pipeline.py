@@ -7,19 +7,17 @@ the config hash plus master seed for traceability.
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import os
 import time
 from pathlib import Path
 
 import numpy as np
 
 from . import pca as shape_pca
-from .checkpoint import TrainConfig, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_hash
 from .features import sample_points
-from .io import read_native
+from .io import read_native, replace_on_success
 from .metrics import EvalReport, evaluate, write_report
 from .net import VARIANTS, backward, forward, init_params, paired_loss
 from .shapes import MEASURE_NAMES, compute_measures
@@ -93,19 +91,6 @@ def report_path(cfg: RunConfig, variant: str | None = None) -> Path:
     return _work(cfg) / f"report_{variant or cfg.variant}.csv"
 
 
-@contextlib.contextmanager
-def _replace_on_success(path: Path):
-    """Write through a sibling temp file that replaces ``path`` only when
-    the block succeeds, so a failed run leaves the previous file intact."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def run_synth(cfg: RunConfig):
     """Generate the synthetic dataset and its manifest."""
     return generate_dataset(_dataset_config(cfg), header_comment=stamp(cfg))
@@ -115,14 +100,16 @@ def run_shape(cfg: RunConfig) -> Path:
     """Compute ground-truth measures for every bundle in the manifest."""
     rows = read_manifest(manifest_path(cfg))
     out = measures_path(cfg)
-    with _replace_on_success(out) as fh:
+    with replace_on_success(out) as fh:
         fh.write(f"# {stamp(cfg)}\n")
         writer = csv.writer(fh)
         writer.writerow(["path"] + list(MEASURE_NAMES))
         for row in rows:
             bundle = read_native(Path(row.path).read_bytes())
-            m = compute_measures(bundle, cfg.voxel_size)
-            writer.writerow([row.path] + [repr(float(v)) for v in m.as_array()])
+            m = compute_measures(bundle, cfg.voxel_size).as_array()
+            if not np.isfinite(m).all():
+                raise FloatingPointError(f"non-finite shape measures for {row.path}")
+            writer.writerow([row.path] + [repr(float(v)) for v in m])
     return out
 
 
@@ -149,7 +136,7 @@ def run_pca(cfg: RunConfig) -> Path:
     train_rows = measures[[i for i, r in enumerate(rows) if r.split == "train"]]
     model = shape_pca.fit(train_rows, k=cfg.pca_k)
     out = _work(cfg) / "pca_model.csv"
-    with _replace_on_success(out) as fh:
+    with replace_on_success(out) as fh:
         fh.write(f"# {stamp(cfg)}\n")
         writer = csv.writer(fh)
         writer.writerow(["quantity", "component"] + list(MEASURE_NAMES))
@@ -182,29 +169,14 @@ def _load_data(cfg: RunConfig, families: tuple | None = None):
     return rows, data
 
 
-def _train_config(cfg: RunConfig, variant: str | None = None) -> TrainConfig:
-    return TrainConfig(
-        variant=variant or cfg.variant,
-        batch_size=cfg.batch_size,
-        epochs=cfg.epochs,
-        lr0=cfg.lr0,
-        sched_period=cfg.sched_period,
-        sched_gamma=cfg.sched_gamma,
-        lam_pair=cfg.lam_pair,
-        weight_decay=cfg.weight_decay,
-        n_points=cfg.n_points,
-        pca_k=cfg.pca_k,
-        seed=cfg.train_seed,
-    )
-
-
 def run_train(cfg: RunConfig, variant: str | None = None, families: tuple | None = None) -> Path:
     """Train one variant; writes the checkpoint and the training log."""
     variant = variant or cfg.variant
     _, data = _load_data(cfg, families)
-    ckpt, log = train(data, _train_config(cfg, variant))
+    ckpt, log = train(data, cfg.train_config(variant))
     out = checkpoint_path(cfg, variant)
-    out.write_bytes(save_checkpoint(ckpt))
+    with replace_on_success(out, binary=True) as fh:
+        fh.write(save_checkpoint(ckpt))
     write_train_log(log, _work(cfg) / f"train_log_{variant}.csv", header_comment=stamp(cfg))
     return out
 
@@ -221,8 +193,14 @@ def run_predict(
     rows, data = _load_data(cfg, families)
     idx = data.indices(split)
     preds = predict_measures(ckpt, data.points[idx], data.tabular[idx])
+    bad = ~np.isfinite(preds).all(axis=1)
+    if bad.any():
+        raise FloatingPointError(
+            f"non-finite predictions for {bad.sum()} of {len(idx)} bundles, "
+            f"e.g. {rows[idx[bad.argmax()]].path}"
+        )
     out = predictions_path(cfg, variant)
-    with _replace_on_success(out) as fh:
+    with replace_on_success(out) as fh:
         fh.write(f"# {stamp(cfg)}\n")
         writer = csv.writer(fh)
         writer.writerow(["path"] + list(MEASURE_NAMES))
@@ -251,7 +229,7 @@ def write_ablation_tables(cfg: RunConfig, reports: dict[str, EvalReport]) -> tup
     paths = []
     for metric in ("pearson", "nmse"):
         out = _work(cfg) / f"ablation_{metric}.csv"
-        with _replace_on_success(out) as fh:
+        with replace_on_success(out) as fh:
             fh.write(f"# {stamp(cfg)}\n")
             writer = csv.writer(fh)
             variants = [v for v in VARIANTS if v in reports]

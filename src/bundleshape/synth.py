@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import qmc
 
-from .io import Bundle, write_native
+from .io import Bundle, replace_on_success, write_native
 
 __all__ = [
     "FAMILIES",
@@ -296,7 +296,7 @@ def generate_dataset(config: DatasetConfig, header_comment: str | None = None) -
 
 
 def write_manifest(rows, path, header_comment: str | None = None) -> None:
-    with open(path, "w", newline="") as fh:
+    with replace_on_success(path) as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         writer = csv.DictWriter(fh, fieldnames=MANIFEST_FIELDS)

@@ -18,7 +18,7 @@ import numpy as np
 from . import pca as shape_pca
 from .checkpoint import Checkpoint, TrainConfig
 from .features import extract_tabular, fit_standardizer, sample_points
-from .io import Bundle, read_native
+from .io import Bundle, read_native, replace_on_success
 from .net import backward, forward, init_params, paired_loss, uses_tabular
 from .optim import AdamState, adam_step, lr_at
 
@@ -82,7 +82,10 @@ def _measures_from_outputs(ckpt: Checkpoint, outputs: np.ndarray) -> np.ndarray:
 
 
 def train(data: TrainData, cfg: TrainConfig):
-    """Train on the train split; returns (Checkpoint, per-epoch log rows)."""
+    """Train on the train split; returns (Checkpoint, per-epoch log rows).
+
+    Raises FloatingPointError at the end of the first epoch whose train or
+    val loss is not finite, so a diverged run yields no checkpoint."""
     idx_train = data.indices("train")
     idx_val = data.indices("val")
     if idx_train.size == 0 or idx_val.size == 0:
@@ -134,6 +137,10 @@ def train(data: TrainData, cfg: TrainConfig):
             params, data.points[idx_val], tab[idx_val] if tab is not None else None, cfg.variant
         )
         val_loss = float(np.mean((val_preds - targets[idx_val]) ** 2))
+        if not np.isfinite([train_loss, val_loss]).all():
+            raise FloatingPointError(
+                f"training diverged in epoch {epoch}: train loss {train_loss}, val loss {val_loss}"
+            )
         log.append(
             {
                 "epoch": epoch,
@@ -173,7 +180,7 @@ def predict_bundle(ckpt: Checkpoint, bundle: Bundle, seed: int = 0) -> np.ndarra
 
 
 def write_train_log(log, path, header_comment: str | None = None) -> None:
-    with open(path, "w", newline="") as fh:
+    with replace_on_success(path) as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         writer = csv.DictWriter(fh, fieldnames=["epoch", "step", "lr", "train_loss", "val_loss"])

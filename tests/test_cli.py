@@ -1,10 +1,13 @@
 """End-to-end command-line interface tests on a miniature run."""
 
+import dataclasses
 import shutil
 
 import pytest
 
-from bundleshape.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from bundleshape import pipeline
+from bundleshape.checkpoint import load_checkpoint, save_checkpoint
+from bundleshape.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 
 TINY_INI = """\
 [paths]
@@ -89,6 +92,73 @@ class TestExitCodes:
         assert main(["shape", "-c", str(ini)]) == EXIT_DATA
         assert measures.read_bytes() == before
         assert sorted(p.name for p in measures.parent.iterdir()) == ["bundles", "measures.csv"]
+
+
+def copy_run(tiny_run, tmp_path, extra=""):
+    """A fresh work dir holding the shared run's bundles, measures and PCA;
+    returns the config arguments, with ``extra`` appended to the ini."""
+    root, _ = tiny_run
+    run = tmp_path / "run"
+    shutil.copytree(root / "run" / "bundles", run / "bundles")
+    for name in ("measures.csv", "pca_model.csv"):
+        shutil.copy(root / "run" / name, run / name)
+    ini = tmp_path / "run.ini"
+    ini.write_text(TINY_INI.format(work=run) + extra)
+    return ["-c", str(ini)]
+
+
+def assert_numeric_error(err):
+    lines = err.splitlines()
+    assert lines[-1].startswith("numeric error: ")
+    assert sum(ln.startswith("numeric error") for ln in lines) == 1
+    assert "Traceback" not in err
+
+
+class TestNumericErrors:
+    def test_diverged_rerun_keeps_previous_checkpoint(self, tiny_run, tmp_path, capsys):
+        cfg = copy_run(tiny_run, tmp_path)
+        assert main(["train", *cfg]) == EXIT_OK
+        run = tmp_path / "run"
+        before = {p: (run / p).read_bytes() for p in ("model_full.ckpt", "train_log_full.csv")}
+        diverging = tmp_path / "diverging.ini"
+        diverging.write_text(TINY_INI.format(work=run) + "lr0 = 1e100\n")
+        capsys.readouterr()
+        assert main(["train", "-c", str(diverging)]) == EXIT_NUMERIC
+        assert_numeric_error(capsys.readouterr().err)
+        assert {p: (run / p).read_bytes() for p in before} == before
+        assert not list(run.glob("*.tmp"))
+
+    def test_nonfinite_predictions(self, tiny_run, tmp_path, capsys):
+        cfg = copy_run(tiny_run, tmp_path)
+        assert main(["train", *cfg]) == EXIT_OK
+        ckpt_path = tmp_path / "run" / "model_full.ckpt"
+        ckpt = load_checkpoint(ckpt_path.read_bytes())
+        ckpt.params["head1.b"][0] = float("nan")
+        ckpt_path.write_bytes(save_checkpoint(ckpt))
+        capsys.readouterr()
+        assert main(["predict", *cfg]) == EXIT_NUMERIC
+        assert_numeric_error(capsys.readouterr().err)
+        assert not (tmp_path / "run" / "predictions_full.csv").exists()
+
+    def test_overflowing_measures(self, tiny_run, tmp_path, capsys):
+        # (1e120 mm)^3 overflows a float: the volume cannot be represented.
+        cfg = copy_run(tiny_run, tmp_path, extra="\n[shape]\nvoxel_size = 1e120\n")
+        before = (tmp_path / "run" / "measures.csv").read_bytes()
+        assert main(["shape", *cfg]) == EXIT_NUMERIC
+        assert_numeric_error(capsys.readouterr().err)
+        assert (tmp_path / "run" / "measures.csv").read_bytes() == before
+
+    def test_nonfinite_measures(self, tiny_run, tmp_path, monkeypatch, capsys):
+        cfg = copy_run(tiny_run, tmp_path)
+        real = pipeline.compute_measures
+
+        def infinite_volume(bundle, voxel_size):
+            m = real(bundle, voxel_size)
+            return dataclasses.replace(m, volume=float("inf"))
+
+        monkeypatch.setattr(pipeline, "compute_measures", infinite_volume)
+        assert main(["shape", *cfg]) == EXIT_NUMERIC
+        assert_numeric_error(capsys.readouterr().err)
 
 
 class TestPipeline:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from bundleshape.checkpoint import TrainConfig
 from bundleshape.config import ConfigError, RunConfig, config_hash, describe_keys, load_config
 
 
@@ -53,6 +54,21 @@ class TestLoad:
             load_config(None, overrides={"batch_size": 5})
         with pytest.raises(ConfigError):
             load_config(None, overrides={"pca_k": 0})
+
+    @pytest.mark.parametrize(
+        "override", [{"variant": "nope"}, {"batch_size": 0}, {"batch_size": 7}, {"lam_pair": -1.0}]
+    )
+    def test_train_settings_refused_as_train_config_refuses_them(self, override):
+        with pytest.raises(ValueError) as train_exc:
+            TrainConfig(**override)
+        with pytest.raises(ConfigError) as config_exc:
+            load_config(None, overrides=override)
+        assert str(config_exc.value) == str(train_exc.value)
+
+    def test_train_config_carries_the_train_section(self):
+        cfg = load_config(None, overrides={"batch_size": 16, "train_seed": 3, "n_points": 128})
+        assert cfg.train_config() == TrainConfig(batch_size=16, seed=3, n_points=128)
+        assert cfg.train_config("vanilla").variant == "vanilla"
 
 
 class TestHash:

@@ -17,6 +17,7 @@ from bundleshape.io import (
     TruncatedFile,
     parse_polydata,
     read_native,
+    replace_on_success,
     write_native,
     write_polydata,
 )
@@ -232,3 +233,28 @@ class TestNative:
         except (BundleIOError, BundleError):
             return
         assert isinstance(b, Bundle)
+
+
+class TestReplaceOnSuccess:
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_failed_write_keeps_previous_file(self, tmp_path, binary):
+        out = tmp_path / "out.bin"
+        out.write_bytes(b"previous\n")
+        with pytest.raises(RuntimeError):
+            with replace_on_success(out, binary=binary) as fh:
+                fh.write(b"partial" if binary else "partial")
+                fh.flush()
+                raise RuntimeError("failed mid-write")
+        assert out.read_bytes() == b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_success_replaces(self, tmp_path):
+        out = tmp_path / "out.bin"
+        out.write_bytes(b"previous\n")
+        with replace_on_success(out, binary=True) as fh:
+            fh.write(b"\x00\x01new")
+        assert out.read_bytes() == b"\x00\x01new"
+        with replace_on_success(out) as fh:
+            fh.write("a\nb\n")
+        assert out.read_bytes() == b"a\nb\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import stats
 
 from bundleshape import features
 from bundleshape.metrics import (
@@ -12,7 +12,6 @@ from bundleshape.metrics import (
     OutOfRange,
     ZeroVariance,
     ZeroVarianceDiffs,
-    betainc_regularized,
     evaluate,
     fisher_z,
     nmse,
@@ -90,26 +89,6 @@ class TestFisherZ:
         for r in (1.0, -1.0, 1.5):
             with pytest.raises(OutOfRange):
                 fisher_z(r)
-
-
-class TestBetainc:
-    def test_against_scipy(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            a = float(rng.uniform(0.2, 30))
-            b = float(rng.uniform(0.2, 30))
-            x = float(rng.uniform(0, 1))
-            assert betainc_regularized(a, b, x) == pytest.approx(
-                float(special.betainc(a, b, x)), abs=1e-9
-            )
-
-    def test_endpoints(self):
-        assert betainc_regularized(2.0, 3.0, 0.0) == 0.0
-        assert betainc_regularized(2.0, 3.0, 1.0) == 1.0
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            betainc_regularized(1.0, 1.0, 1.5)
 
 
 class TestPairedT:

@@ -120,6 +120,110 @@ class TestChunkedInference:
         assert peak < 32 * 2**20
 
 
+def dense_reference_grads(params, pts, tab, variant, d_out):
+    """Textbook backward: every point activation at full (B*N, d) size and
+    the pooled gradient scattered into a (B, N, 256) array at the first max
+    of z = h3 @ W (the tie rule of the net module), then back through all
+    B*N points."""
+    b_dim, n_dim = pts.shape[:2]
+    acts = [pts.reshape(-1, 3)]
+    for i in range(len(POINT_WIDTHS) - 1):
+        z = acts[-1] @ params[f"point{i}.w"]
+        acts.append(np.maximum(z + params[f"point{i}.b"], 0.0))
+    top = acts[-1].reshape(b_dim, n_dim, -1)
+    tab_acts = [tab] if uses_tabular(variant) else []
+    for i in range(len(TAB_WIDTHS) - 1 if tab_acts else 0):
+        tab_acts.append(np.maximum(tab_acts[-1] @ params[f"tab{i}.w"] + params[f"tab{i}.b"], 0.0))
+    fused = np.concatenate([top.max(axis=1)] + tab_acts[-1:], axis=1)
+    g = np.maximum(fused @ params["head0.w"] + params["head0.b"], 0.0)
+    grads = {"head1.w": g.T @ d_out, "head1.b": d_out.sum(axis=0)}
+    d = (d_out @ params["head1.w"].T) * (g > 0)
+    grads["head0.w"], grads["head0.b"] = fused.T @ d, d.sum(axis=0)
+    d_fused = d @ params["head0.w"].T
+    d_top = np.zeros_like(top)
+    arg = z.reshape(b_dim, n_dim, -1).argmax(axis=1)
+    np.put_along_axis(d_top, arg[:, None], d_fused[:, None, : POINT_WIDTHS[-1]], axis=1)
+    chains = [("point", acts, d_top.reshape(b_dim * n_dim, -1))]
+    if tab_acts:
+        chains.append(("tab", tab_acts, d_fused[:, POINT_WIDTHS[-1] :]))
+    for name, a, d in chains:
+        for i in reversed(range(len(a) - 1)):
+            d = d * (a[i + 1] > 0)
+            grads[f"{name}{i}.w"], grads[f"{name}{i}.b"] = a[i].T @ d, d.sum(axis=0)
+            d = d @ params[f"{name}{i}.w"].T
+    return grads
+
+
+def random_biases(params, rng):
+    for name in params:
+        if name.endswith(".b"):
+            params[name] = rng.normal(scale=0.5, size=params[name].shape)
+    return params
+
+
+class TestCriticalRows:
+    """Training keeps only each cloud's critical points (the argmax rows of
+    the pool); backward() on those rows must give the dense gradients."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize(
+        "batch, n_points",
+        [
+            (32, 1024),  # one training batch, two clouds per chunk
+            (3, 1),
+            (2, POOL_CHUNK_POINTS + 5),  # one cloud per chunk
+            (POOL_CHUNK_POINTS + 3, 1),  # one chunk of 2048 clouds, then 3
+        ],
+    )
+    def test_matches_dense_reference(self, variant, batch, n_points):
+        rng = np.random.default_rng(batch * 31 + n_points)
+        params = random_biases(init_params(variant, seed=5), rng)
+        pts, tab = small_inputs(rng, variant, batch=batch, n_points=n_points)
+        d_out = rng.normal(size=(batch, output_dim(variant)))
+        _, cache = forward(params, pts, tab, variant, want_cache=True)
+        grads = backward(params, cache, d_out)
+        ref = dense_reference_grads(params, pts, tab, variant, d_out)
+        assert sorted(grads) == sorted(params) == sorted(ref)
+        for name in params:
+            np.testing.assert_allclose(
+                grads[name], ref[name], rtol=0, atol=1e-12 * np.abs(ref[name]).max(), err_msg=name
+            )
+        # Each cloud keeps between one and 256 distinct points.
+        per_cloud = np.bincount(cache["critical_index"] // n_points, minlength=batch)
+        assert per_cloud.min() >= 1 and per_cloud.max() <= min(n_points, POINT_WIDTHS[-1])
+        assert per_cloud.sum() == len(cache["critical_acts"][0])
+
+    def test_identical_points_route_to_point_0(self):
+        rng = np.random.default_rng(8)
+        params = random_biases(init_params("multimodal", seed=8), rng)
+        n_points = 300
+        pts = np.repeat(rng.normal(size=(3, 1, 3)), n_points, axis=1)
+        tab = rng.normal(size=(3, 2))
+        d_out = rng.normal(size=(3, output_dim("multimodal")))
+        _, cache = forward(params, pts, tab, "multimodal", want_cache=True)
+        # Every channel ties on every point; each cloud keeps its point 0 only.
+        np.testing.assert_array_equal(cache["critical_index"], np.arange(3) * n_points)
+        np.testing.assert_array_equal(cache["critical_slot"], np.repeat(np.arange(3)[:, None], 256, 1))
+        grads = backward(params, cache, d_out)
+        ref = dense_reference_grads(params, pts, tab, "multimodal", d_out)
+        for name in params:
+            np.testing.assert_allclose(grads[name], ref[name], rtol=1e-12, atol=1e-15, err_msg=name)
+
+    def test_training_batch_memory(self):
+        params = init_params("full", seed=0)
+        rng = np.random.default_rng(10)
+        pts, tab = rng.normal(size=(32, 1024, 3)), rng.normal(size=(32, 2))
+        tracemalloc.start()
+        try:
+            preds, cache = forward(params, pts, tab, "full", want_cache=True)
+            backward(params, cache, np.ones_like(preds))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One full-size float64 activation of the 256-wide layer alone is 67 MB.
+        assert peak < 48 * 2**20
+
+
 class TestInvariances:
     def test_exact_point_permutation_invariance(self):
         rng = np.random.default_rng(1)
