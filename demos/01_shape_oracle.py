@@ -28,7 +28,7 @@ def show(title, bundle, voxel_size):
 def straight_line():
     t = np.linspace(0.0, 80.0, 200)
     s = np.stack([t, np.zeros_like(t), np.zeros_like(t)], axis=1)
-    return Bundle((s,))
+    return Bundle.from_streamlines((s,))
 
 
 def semicircle(radius=50.0):
@@ -36,7 +36,7 @@ def semicircle(radius=50.0):
     s = np.stack(
         [radius * np.cos(theta), radius * np.sin(theta), np.zeros_like(theta)], axis=1
     )
-    return Bundle((s,))
+    return Bundle.from_streamlines((s,))
 
 
 def cylinder(radius=4.0, length=80.0, n=300, pps=81):
@@ -57,7 +57,7 @@ def cylinder(radius=4.0, length=80.0, n=300, pps=81):
     ).copy()
     rng = np.random.Generator(np.random.Philox(key=[7, 0]))
     pts += rng.normal(0.0, 0.06, size=pts.shape)
-    return Bundle(tuple(pts))
+    return Bundle.from_streamlines(tuple(pts))
 
 
 def main():

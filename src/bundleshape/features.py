@@ -47,7 +47,7 @@ def sample_points(bundle: Bundle, n: int = DEFAULT_N_POINTS, seed: int = 0) -> n
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    pts = bundle.all_points()
+    pts = bundle.points
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
     replace = pts.shape[0] < n
     idx = rng.choice(pts.shape[0], size=n, replace=replace)

@@ -7,6 +7,9 @@ Two on-disk formats are supported:
 * a compact native binary format (magic ``T2SB``) storing 32-bit
   little-endian coordinates.
 
+A :class:`Bundle` stores its streamlines ragged (one point array plus row offsets);
+``Bundle.from_streamlines([s0, s1])`` builds one from a list of (n_i, 3) arrays.
+
 Coordinates are millimeters in the right-anterior-superior (RAS) frame.
 In-memory computation is float64; the native format stores float32, a
 documented lossy boundary.
@@ -17,7 +20,8 @@ from __future__ import annotations
 import contextlib
 import os
 import struct
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,73 +79,73 @@ class BadVersion(BundleIOError):
     pass
 
 
-def _validate_streamlines(streamlines) -> tuple[np.ndarray, ...]:
-    """Check the structural invariants of every streamline in one pass."""
-    validated = []
-    for s in streamlines:
-        pts = np.asarray(s, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise BundleError(f"streamline must be (n, 3), got {pts.shape}")
-        if pts.shape[0] < 2:
-            raise BundleError("streamline needs at least 2 points")
-        validated.append(pts)
-    cat = np.concatenate(validated, axis=0)
-    if not np.isfinite(cat).all():
-        raise BundleError("streamline contains non-finite coordinates")
-    # Positive arc length per streamline: sum squared segment norms over
-    # each streamline's rows of the concatenated diff, with the rows that
-    # straddle two streamlines zeroed out.
-    counts = np.array([pts.shape[0] for pts in validated])
-    seg = np.diff(cat, axis=0)
-    sq = np.einsum("ij,ij->i", seg, seg)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    sq[starts[1:] - 1] = 0.0
-    if not (np.add.reduceat(sq, starts) > 0.0).all():
-        raise BundleError("streamline has zero arc length")
-    return tuple(validated)
-
-
 @dataclass(frozen=True)
 class Bundle:
     """An ordered collection of streamlines forming one fiber cluster.
 
-    Each streamline is an (n_i, 3) float64 array of RAS millimeter
-    coordinates with n_i >= 2 and positive arc length.
+    Streamline j is ``points[offsets[j]:offsets[j + 1]]``: ``points`` is a
+    read-only (NoP, 3) float64 array of RAS millimeter coordinates and
+    ``offsets`` the read-only (NoS + 1,) int64 row boundaries from 0 to NoP.
+    Every streamline has at least 2 points and positive arc length.
     """
 
-    streamlines: tuple[np.ndarray, ...]
+    points: np.ndarray
+    offsets: np.ndarray
     subject_id: str = ""
     cluster_id: str = ""
     tract_label: str | None = None
 
     def __post_init__(self):
-        if len(self.streamlines) == 0:
-            raise BundleError("bundle must contain at least one streamline")
-        validated = _validate_streamlines(self.streamlines)
-        for arr in validated:
+        pts = np.asarray(self.points, dtype=np.float64).view()
+        off = np.asarray(self.offsets).view()
+        if pts.ndim != 2 or pts.shape[1] != 3:
+            raise BundleError(f"points must be (n, 3), got {pts.shape}")
+        if off.ndim != 1 or off.dtype.kind not in "iu" or off.shape[0] < 2:
+            raise BundleError(f"bundle needs integer offsets of at least one streamline, got {off!r}")
+        off = off.astype(np.int64, copy=False)
+        if off[0] != 0 or off[-1] != pts.shape[0] or (np.diff(off) < 2).any():
+            raise BundleError(f"offsets must rise from 0 to {pts.shape[0]} by 2 or more per streamline")
+        if not np.isfinite(pts).all():
+            raise BundleError("streamline contains non-finite coordinates")
+        # Positive arc length per streamline: squared segment norms summed per
+        # streamline, with the rows that straddle two streamlines zeroed out.
+        seg = np.diff(pts, axis=0)
+        sq = np.einsum("ij,ij->i", seg, seg)
+        sq[off[1:-1] - 1] = 0.0
+        if not (np.add.reduceat(sq, off[:-1]) > 0.0).all():
+            raise BundleError("streamline has zero arc length")
+        for name, arr in (("points", pts), ("offsets", off)):
             arr.setflags(write=False)
-        object.__setattr__(self, "streamlines", validated)
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_streamlines(cls, streamlines, **ids) -> "Bundle":
+        """Bundle of a sequence of (n_i, 3) arrays; ``ids`` set the other fields."""
+        arrays = [np.asarray(s, dtype=np.float64) for s in streamlines]
+        if any(a.ndim != 2 or a.shape[1] != 3 for a in arrays):
+            raise BundleError("every streamline must be an (n, 3) array")
+        offsets = np.cumsum([0] + [a.shape[0] for a in arrays], dtype=np.int64)
+        return cls(np.concatenate([np.empty((0, 3)), *arrays]), offsets, **ids)
+
+    @property
+    def streamlines(self) -> tuple[np.ndarray, ...]:
+        """Read-only (n_i, 3) views of ``points``, one per streamline."""
+        return tuple(np.split(self.points, self.offsets[1:-1]))
 
     @property
     def n_streamlines(self) -> int:
-        return len(self.streamlines)
+        return self.offsets.shape[0] - 1
 
     @property
     def n_points(self) -> int:
-        return sum(s.shape[0] for s in self.streamlines)
+        return self.points.shape[0]
 
     def all_points(self) -> np.ndarray:
-        """All points of all streamlines stacked into one (NoP, 3) array."""
-        return np.concatenate(self.streamlines, axis=0)
+        """All points of all streamlines: ``points`` itself, not a copy."""
+        return self.points
 
     def translated(self, offset) -> "Bundle":
-        off = np.asarray(offset, dtype=np.float64).reshape(3)
-        return Bundle(
-            streamlines=tuple(s + off for s in self.streamlines),
-            subject_id=self.subject_id,
-            cluster_id=self.cluster_id,
-            tract_label=self.tract_label,
-        )
+        return replace(self, points=self.points + np.asarray(offset, dtype=np.float64).reshape(3))
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +182,7 @@ def parse_polydata(data: bytes | str, subject_id: str = "", cluster_id: str = ""
         raise MalformedHeader(f"expected DATASET POLYDATA, got {lines[3]!r}")
 
     # Flatten the remainder into a token stream; block keywords delimit it.
-    flat: list[str] = []
-    for toks in tokens_by_line[4:]:
-        flat.extend(toks)
+    flat = [tok for toks in tokens_by_line[4:] for tok in toks]
 
     pos = 0
 
@@ -217,10 +219,9 @@ def parse_polydata(data: bytes | str, subject_id: str = "", cluster_id: str = ""
             if pos + total > len(flat):
                 raise TruncatedFile("LINES block truncated")
             polylines = []
-            consumed = 0
+            start = pos
             for _ in range(m):
                 k = _parse_int(next_token(), "polyline length")
-                consumed += 1
                 if k < 2:
                     raise ShortStreamline(f"polyline of length {k}")
                 if pos + k > len(flat):
@@ -230,16 +231,11 @@ def parse_polydata(data: bytes | str, subject_id: str = "", cluster_id: str = ""
                 except ValueError as exc:
                     raise MalformedHeader(f"non-integer line index: {exc}") from None
                 pos += k
-                consumed += k
                 polylines.append(idx)
-            if consumed != total:
-                raise MalformedHeader(
-                    f"LINES size mismatch: declared {total}, consumed {consumed}"
-                )
+            if pos - start != total:
+                raise MalformedHeader(f"LINES size mismatch: declared {total}, consumed {pos - start}")
         elif keyword in _SKIPPABLE_BLOCKS:
             # Attribute blocks commonly follow; skip the rest of the file.
-            import warnings
-
             warnings.warn(f"skipping unsupported block {keyword}", stacklevel=2)
             break
         else:
@@ -251,13 +247,12 @@ def parse_polydata(data: bytes | str, subject_id: str = "", cluster_id: str = ""
         raise TruncatedFile("missing LINES block")
 
     n = points.shape[0]
-    streamlines = []
-    for idx in polylines:
-        if np.any(idx < 0) or np.any(idx >= n):
-            bad = int(idx[(idx < 0) | (idx >= n)][0])
-            raise IndexOutOfRange(f"point index {bad} outside [0, {n})")
-        streamlines.append(points[idx])
-    return Bundle(tuple(streamlines), subject_id=subject_id, cluster_id=cluster_id)
+    idx = np.concatenate([np.empty(0, dtype=np.int64), *polylines])
+    bad = (idx < 0) | (idx >= n)
+    if bad.any():
+        raise IndexOutOfRange(f"point index {int(idx[bad][0])} outside [0, {n})")
+    offsets = np.cumsum([0] + [p.shape[0] for p in polylines], dtype=np.int64)
+    return Bundle(points[idx], offsets, subject_id=subject_id, cluster_id=cluster_id)
 
 
 def _parse_int(tok: str, what: str) -> int:
@@ -273,24 +268,14 @@ def write_polydata(bundle: Bundle, title: str = "bundleshape streamlines") -> by
     Coordinates are printed with 9 significant digits, so a round trip
     reproduces them to well under 1e-6 mm at anatomical scales.
     """
-    out = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET POLYDATA",
-    ]
-    nop = bundle.n_points
-    out.append(f"POINTS {nop} float")
-    for s in bundle.streamlines:
-        for p in s:
-            out.append(f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g}")
-    total = nop + bundle.n_streamlines
-    out.append(f"LINES {bundle.n_streamlines} {total}")
-    offset = 0
-    for s in bundle.streamlines:
-        k = s.shape[0]
-        out.append(" ".join([str(k)] + [str(offset + i) for i in range(k)]))
-        offset += k
+    nop, nos = bundle.n_points, bundle.n_streamlines
+    out = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET POLYDATA", f"POINTS {nop} float"]
+    for p in bundle.points:
+        out.append(f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g}")
+    out.append(f"LINES {nos} {nop + nos}")
+    off = bundle.offsets.tolist()
+    for a, b in zip(off[:-1], off[1:]):
+        out.append(" ".join([str(b - a)] + [str(i) for i in range(a, b)]))
     return ("\n".join(out) + "\n").encode("ascii")
 
 
@@ -300,16 +285,19 @@ def write_polydata(bundle: Bundle, title: str = "bundleshape streamlines") -> by
 
 def write_native(bundle: Bundle) -> bytes:
     """Serialize to the native binary format (32-bit little-endian coords)."""
-    parts = [NATIVE_MAGIC, struct.pack("<B", NATIVE_VERSION)]
-    parts.append(struct.pack("<I", bundle.n_streamlines))
-    for s in bundle.streamlines:
-        parts.append(struct.pack("<I", s.shape[0]))
-        parts.append(s.astype("<f4").tobytes())
-    return b"".join(parts)
+    off = bundle.offsets
+    words = np.insert(bundle.points.astype("<f4").view("<u4").ravel(), 3 * off[:-1], np.diff(off))
+    return NATIVE_MAGIC + struct.pack("<BI", NATIVE_VERSION, bundle.n_streamlines) + words.tobytes()
 
 
 def read_native(data: bytes, subject_id: str = "", cluster_id: str = "") -> Bundle:
-    """Read the native binary format; bit-exact at 32-bit precision."""
+    """Read the native binary format; bit-exact at 32-bit precision.
+
+    After the header (magic, version, NoS) come little-endian 4-byte words:
+    per streamline its point count k, then its 3k float32 coordinates. Each
+    count is checked against the words left before anything is sized from
+    it, and bytes after the last streamline are an error.
+    """
     if len(data) < 4:
         raise TruncatedFile("shorter than magic")
     if data[:4] != NATIVE_MAGIC:
@@ -320,22 +308,24 @@ def read_native(data: bytes, subject_id: str = "", cluster_id: str = "") -> Bund
     if version != NATIVE_VERSION:
         raise BadVersion(f"unsupported version {version}")
     (nos,) = struct.unpack_from("<I", data, 5)
-    pos = 9
-    streamlines = []
-    for _ in range(nos):
-        if pos + 4 > len(data):
-            raise TruncatedFile("missing point count")
-        (k,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        nbytes = 12 * k
-        if pos + nbytes > len(data):
-            raise TruncatedFile(f"declared {k} points but file ends early")
-        pts = np.frombuffer(data, dtype="<f4", count=3 * k, offset=pos).reshape(k, 3)
-        pos += nbytes
-        streamlines.append(pts.astype(np.float64))
-    if not streamlines:
+    words = np.frombuffer(data, dtype="<u4", count=(len(data) - 9) // 4, offset=9)
+    n_words = words.shape[0]
+    if nos == 0:
         raise TruncatedFile("bundle with zero streamlines")
-    return Bundle(tuple(streamlines), subject_id=subject_id, cluster_id=cluster_id)
+    heads, pos = [], 0  # word index of each point count; each fixes where the next is
+    while len(heads) < nos and pos < n_words:
+        heads.append(pos)
+        pos += 1 + 3 * int(words[pos])
+    if len(heads) < nos or pos > n_words:
+        raise TruncatedFile(f"file ends inside streamline {len(heads)} of {nos}")
+    if 9 + 4 * pos != len(data):
+        raise MalformedHeader(f"{len(data) - 9 - 4 * pos} trailing bytes after the last streamline")
+    counts = words[heads]
+    if (counts < 2).any():
+        raise ShortStreamline(f"streamline of {counts.min()} points")
+    points = np.delete(words[:pos], heads).view("<f4").reshape(-1, 3)
+    offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    return Bundle(points.astype(np.float64), offsets, subject_id=subject_id, cluster_id=cluster_id)
 
 
 @contextlib.contextmanager

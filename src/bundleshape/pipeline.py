@@ -125,6 +125,8 @@ def read_measures_csv(path) -> tuple[list[str], np.ndarray]:
         for rec in reader:
             paths.append(rec[0])
             rows.append([float(v) for v in rec[1:]])
+            if not np.isfinite(rows[-1]).all():
+                raise ValueError(f"{path}: non-finite measure for bundle {rec[0]}")
     return paths, np.asarray(rows, dtype=np.float64)
 
 

@@ -13,7 +13,7 @@ GridTooLarge instead of exhausting memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -111,16 +111,11 @@ def align_orientations(bundle: Bundle) -> Bundle:
     streamline is reversed iff matching its endpoints to the reference
     same-way costs more than matching them swapped. Idempotent.
     """
-    cat = bundle.all_points()
-    off = _offsets(bundle)
+    cat, off = bundle.points, bundle.offsets
     flips = _flips(cat[off[:-1]], cat[off[1:] - 1], _arc_lengths(_segments(cat, off)[2], off))
-    aligned = [s[::-1] if flip else s for s, flip in zip(bundle.streamlines, flips)]
-    return Bundle(
-        tuple(aligned),
-        subject_id=bundle.subject_id,
-        cluster_id=bundle.cluster_id,
-        tract_label=bundle.tract_label,
-    )
+    row = np.arange(cat.shape[0])
+    j = np.repeat(np.arange(flips.shape[0]), np.diff(off))  # streamline of each row
+    return replace(bundle, points=cat[np.where(flips[j], off[j] + off[j + 1] - 1 - row, row)])
 
 
 def _flips(firsts: np.ndarray, lasts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -130,12 +125,6 @@ def _flips(firsts: np.ndarray, lasts: np.ndarray, lengths: np.ndarray) -> np.nda
     keep = np.linalg.norm(firsts - ref_first, axis=1) + np.linalg.norm(lasts - ref_last, axis=1)
     swap = np.linalg.norm(firsts - ref_last, axis=1) + np.linalg.norm(lasts - ref_first, axis=1)
     return keep > swap
-
-
-def _offsets(bundle: Bundle) -> np.ndarray:
-    """Row boundaries of each streamline in the concatenated point array."""
-    counts = np.array([s.shape[0] for s in bundle.streamlines])
-    return np.concatenate(([0], np.cumsum(counts)))
 
 
 def _segments(cat: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -153,9 +142,15 @@ def _segments(cat: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 
 def _arc_lengths(seg_len: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Per-streamline arc lengths from the segment lengths of :func:`_segments`."""
-    # Plain slice sums keep the rounding independent of neighboring
-    # streamlines (np.add.reduceat's grouping depends on bucket alignment).
-    return np.array([seg_len[off[j] : off[j + 1] - 1].sum() for j in range(off.shape[0] - 1)])
+    # One contiguous row per streamline, gathered by point count: NumPy sums
+    # each row pairwise like a 1-D slice, independent of its neighbors
+    # (np.add.reduceat's grouping depends on bucket alignment).
+    counts = np.diff(off)
+    lengths = np.empty(counts.shape[0])
+    for k in np.unique(counts):
+        rows = np.flatnonzero(counts == k)
+        lengths[rows] = seg_len[off[rows, None] + np.arange(k - 1)].sum(axis=1)
+    return lengths
 
 
 def _occupancy(cols) -> tuple[np.ndarray, np.ndarray]:
@@ -235,15 +230,20 @@ def voxelize(bundle: Bundle, voxel_size: float = 1.0) -> VoxelGrid:
     The origin is the bundle bounding-box min corner, so the result is
     invariant under translation of the whole bundle.
     """
-    cat, off = bundle.all_points(), _offsets(bundle)
+    cat, off = bundle.points, bundle.offsets
     grid, lo, origin = _sample_grid(cat, off, _segments(cat, off), voxel_size)
     return VoxelGrid(voxel_size=float(voxel_size), origin=origin, indices=np.argwhere(grid) + lo)
 
 
 def voxelize_points(points: np.ndarray, origin: np.ndarray, voxel_size: float) -> np.ndarray:
-    """Unique voxel indices of a raw point set on the given grid."""
-    idx = np.floor((np.asarray(points, dtype=np.float64) - origin) / voxel_size)
-    return np.unique(idx.astype(np.int64), axis=0)
+    """Unique voxel indices of a raw point set on the given grid, in lexicographic order."""
+    idx = np.floor((np.asarray(points, dtype=np.float64) - origin) / voxel_size).astype(np.int64)
+    # One int64 key per index over the points' own box, in lexicographic order.
+    rel, shape = idx - idx.min(axis=0), np.ptp(idx, axis=0) + 1
+    if not np.prod(shape, dtype=np.float64) < 2.0**63:
+        raise GridTooLarge(f"a box of {shape.tolist()} voxels has too many cells for int64 keys")
+    _, first = np.unique((rel[:, 0] * shape[1] + rel[:, 1]) * shape[2] + rel[:, 2], return_index=True)
+    return idx[first]
 
 
 def count_surface_voxels(indices: np.ndarray) -> int:
@@ -266,8 +266,7 @@ def compute_measures(bundle: Bundle, voxel_size: float = 1.0) -> ShapeMeasures:
     surface quantities come from the occupancy grid.
     """
     v = float(voxel_size)
-    cat = bundle.all_points()
-    off = _offsets(bundle)
+    cat, off = bundle.points, bundle.offsets
     segments = _segments(cat, off)
 
     lengths = _arc_lengths(segments[2], off)
@@ -287,7 +286,12 @@ def compute_measures(bundle: Bundle, voxel_size: float = 1.0) -> ShapeMeasures:
     curl = length / span
 
     grid, _, origin = _sample_grid(cat, off, segments, v)
-    volume = int(np.count_nonzero(grid)) * v ** 3
+    try:
+        volume = int(np.count_nonzero(grid)) * v ** 3  # inf if only the product overflows
+    except OverflowError:
+        volume = np.inf
+    if volume == np.inf:
+        raise FloatingPointError(f"volume overflows a float at voxel_size = {v:g} mm")
     diameter = 2.0 * np.sqrt(volume / (np.pi * length))
     elongation = length / diameter
     surface_area = _surface_count(grid) * v ** 2

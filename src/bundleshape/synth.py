@@ -140,7 +140,7 @@ def generate_bundle(spec: BundleSpec, subject_id: str = "synth", cluster_id: str
         jitter = _gen(spec.seed, _JITTER_STREAM)
         pts = pts + jitter.normal(0.0, spec.jitter_sd, size=pts.shape)
     pts = pts @ rot.T + trans
-    return Bundle(tuple(pts), subject_id=subject_id, cluster_id=cluster_id)
+    return Bundle.from_streamlines(pts, subject_id=subject_id, cluster_id=cluster_id)
 
 
 # ---------------------------------------------------------------------------

@@ -81,11 +81,12 @@ def _measures_from_outputs(ckpt: Checkpoint, outputs: np.ndarray) -> np.ndarray:
     return outputs * ckpt.pca.feature_sd + ckpt.pca.feature_mean
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(data: TrainData, cfg: TrainConfig):
     """Train on the train split; returns (Checkpoint, per-epoch log rows).
 
-    Raises FloatingPointError at the end of the first epoch whose train or
-    val loss is not finite, so a diverged run yields no checkpoint."""
+    Raises FloatingPointError (and no NumPy overflow warnings) at the end of the
+    first epoch whose train or val loss is not finite: a diverged run yields no checkpoint."""
     idx_train = data.indices("train")
     idx_val = data.indices("val")
     if idx_train.size == 0 or idx_val.size == 0:

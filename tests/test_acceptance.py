@@ -98,7 +98,7 @@ def small(tmp_path_factory):
 
 def straight_line():
     t = np.linspace(0.0, 80.0, 200)
-    return Bundle((np.stack([t, np.zeros_like(t), np.zeros_like(t)], axis=1),))
+    return Bundle.from_streamlines((np.stack([t, np.zeros_like(t), np.zeros_like(t)], axis=1),))
 
 
 def semicircle(radius=50.0):
@@ -106,7 +106,7 @@ def semicircle(radius=50.0):
     s = np.stack(
         [radius * np.cos(theta), radius * np.sin(theta), np.zeros_like(theta)], axis=1
     )
-    return Bundle((s,))
+    return Bundle.from_streamlines((s,))
 
 
 def analytic_cylinder(radius=4.0, length=80.0, n=300, pps=81):
@@ -125,7 +125,7 @@ def analytic_cylinder(radius=4.0, length=80.0, n=300, pps=81):
     ).copy()
     rng = np.random.Generator(np.random.Philox(key=[7, 0]))
     pts += rng.normal(0.0, 0.06, size=pts.shape)
-    return Bundle(tuple(pts))
+    return Bundle.from_streamlines(tuple(pts))
 
 
 def random_small_bundle(rng, max_extent=25.0):
@@ -138,7 +138,7 @@ def random_small_bundle(rng, max_extent=25.0):
         streamlines.append(
             np.concatenate([start[None], start[None] + np.cumsum(steps, axis=0)])
         )
-    return Bundle(tuple(streamlines))
+    return Bundle.from_streamlines(tuple(streamlines))
 
 
 # ---------------------------------------------------------------- criteria

@@ -2,6 +2,7 @@
 
 import dataclasses
 import shutil
+import warnings
 
 import pytest
 
@@ -123,7 +124,10 @@ class TestNumericErrors:
         diverging = tmp_path / "diverging.ini"
         diverging.write_text(TINY_INI.format(work=run) + "lr0 = 1e100\n")
         capsys.readouterr()
-        assert main(["train", "-c", str(diverging)]) == EXIT_NUMERIC
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "-c", str(diverging)]) == EXIT_NUMERIC
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert_numeric_error(capsys.readouterr().err)
         assert {p: (run / p).read_bytes() for p in before} == before
         assert not list(run.glob("*.tmp"))
@@ -145,7 +149,9 @@ class TestNumericErrors:
         cfg = copy_run(tiny_run, tmp_path, extra="\n[shape]\nvoxel_size = 1e120\n")
         before = (tmp_path / "run" / "measures.csv").read_bytes()
         assert main(["shape", *cfg]) == EXIT_NUMERIC
-        assert_numeric_error(capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert_numeric_error(err)
+        assert "voxel_size" in err
         assert (tmp_path / "run" / "measures.csv").read_bytes() == before
 
     def test_nonfinite_measures(self, tiny_run, tmp_path, monkeypatch, capsys):
@@ -159,6 +165,26 @@ class TestNumericErrors:
         monkeypatch.setattr(pipeline, "compute_measures", infinite_volume)
         assert main(["shape", *cfg]) == EXIT_NUMERIC
         assert_numeric_error(capsys.readouterr().err)
+
+
+class TestEditedPredictions:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_prediction_is_a_data_error(self, tiny_run, tmp_path, capsys, value):
+        cfg = copy_run(tiny_run, tmp_path)
+        assert main(["train", *cfg]) == EXIT_OK
+        assert main(["predict", *cfg]) == EXIT_OK
+        preds = tmp_path / "run" / "predictions_full.csv"
+        lines = preds.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[3] = value
+        lines[2] = ",".join(fields)
+        preds.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["eval", *cfg]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert str(preds) in err and fields[0] in err
+        assert not (tmp_path / "run" / "report_full.csv").exists()
 
 
 class TestPipeline:

@@ -16,7 +16,7 @@ def bundle_with(n_points_total):
     per = max(n_points_total // 2, 2)
     a = np.cumsum(np.random.default_rng(0).normal(size=(per, 3)), axis=0)
     b = np.cumsum(np.random.default_rng(1).normal(size=(n_points_total - per, 3)), axis=0)
-    return Bundle((a, b))
+    return Bundle.from_streamlines((a, b))
 
 
 class TestSamplePoints:
@@ -65,7 +65,7 @@ class TestSamplePoints:
                 [0.0, 0.0, 1.0],
             ]
         )
-        moved = Bundle(tuple(s @ rot.T + np.array([3.0, -8.0, 1.5]) for s in b.streamlines))
+        moved = Bundle.from_streamlines(tuple(s @ rot.T + np.array([3.0, -8.0, 1.5]) for s in b.streamlines))
         p1 = sample_points(b, 64, seed=3)
         p2 = sample_points(moved, 64, seed=3)
         np.testing.assert_allclose(p1, p2, atol=1e-8)

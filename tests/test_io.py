@@ -1,5 +1,8 @@
 """Bundle data model and file format tests."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +27,7 @@ from bundleshape.io import (
 
 
 def simple_bundle():
-    return Bundle(
+    return Bundle.from_streamlines(
         (
             np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.5, 0.0]]),
             np.array([[0.0, 1.0, 0.0], [2.0, 1.0, 0.25]]),
@@ -46,33 +49,59 @@ class TestBundle:
         with pytest.raises(ValueError):
             b.streamlines[0][0, 0] = 99.0
 
+    def test_ragged_layout(self):
+        b = simple_bundle()
+        np.testing.assert_array_equal(b.offsets, [0, 3, 5])
+        assert b.offsets.dtype == np.int64 and b.points.dtype == np.float64
+        np.testing.assert_array_equal(b.points, np.concatenate(b.streamlines))
+        assert b.all_points() is b.points
+        for s in b.streamlines:
+            assert np.shares_memory(s, b.points)
+        for arr in (b.points, b.offsets):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_constructor_does_not_freeze_the_callers_arrays(self):
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        b = Bundle(pts, np.array([0, 2]))
+        assert pts.flags.writeable and not b.points.flags.writeable
+
+    @pytest.mark.parametrize(
+        "offsets",
+        [[0, 3], [1, 3, 5], [0, 3, 4, 5], [0, 3, 6], [0, 5, 3, 5], [0.0, 3.0, 5.0], [[0, 3, 5]]],
+        ids=["short_end", "bad_start", "one_point", "past_end", "decreasing", "float", "2d"],
+    )
+    def test_rejects_bad_offsets(self, offsets):
+        with pytest.raises(BundleError):
+            Bundle(simple_bundle().points, np.array(offsets))
+
     def test_rejects_empty_bundle(self):
         with pytest.raises(BundleError):
-            Bundle(())
+            Bundle.from_streamlines(())
 
     def test_rejects_single_point_streamline(self):
         with pytest.raises(BundleError):
-            Bundle((np.array([[0.0, 0.0, 0.0]]),))
+            Bundle.from_streamlines((np.array([[0.0, 0.0, 0.0]]),))
 
     def test_rejects_bad_shape(self):
         with pytest.raises(BundleError):
-            Bundle((np.zeros((3, 2)),))
+            Bundle.from_streamlines((np.zeros((3, 2)),))
 
     def test_rejects_non_finite(self):
         with pytest.raises(BundleError):
-            Bundle((np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]),))
+            Bundle.from_streamlines((np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]),))
         with pytest.raises(BundleError):
-            Bundle((np.array([[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0]]),))
+            Bundle.from_streamlines((np.array([[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0]]),))
 
     def test_rejects_zero_arc_length(self):
         with pytest.raises(BundleError):
-            Bundle((np.zeros((4, 3)),))
+            Bundle.from_streamlines((np.zeros((4, 3)),))
 
     def test_zero_length_detected_in_any_streamline(self):
         good = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         degenerate = np.ones((3, 3))
         with pytest.raises(BundleError):
-            Bundle((good, degenerate))
+            Bundle.from_streamlines((good, degenerate))
 
     def test_translated(self):
         b = simple_bundle().translated([1.0, -2.0, 3.0])
@@ -225,6 +254,31 @@ class TestNative:
             with pytest.raises(TruncatedFile):
                 read_native(blob[:cut])
 
+    def test_trailing_bytes(self):
+        with pytest.raises(MalformedHeader, match="trailing"):
+            read_native(write_native(simple_bundle()) + b"garbage!!")
+
+    def test_short_streamline(self):
+        blob = bytearray(write_native(simple_bundle()))
+        blob[9:13] = struct.pack("<I", 1)  # 3 points declared as 1 + 2 trailing coordinates
+        with pytest.raises(BundleIOError):
+            read_native(bytes(blob))
+        with pytest.raises(ShortStreamline):
+            read_native(b"T2SB\x01" + struct.pack("<II", 1, 1) + b"\x00" * 12)
+
+    @pytest.mark.parametrize("where", [5, 9], ids=["streamline_count", "point_count"])
+    def test_huge_declared_count_allocates_nothing(self, where):
+        blob = bytearray(write_native(simple_bundle()))
+        blob[where : where + 4] = struct.pack("<I", 2**32 - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedFile):
+                read_native(bytes(blob))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @settings(max_examples=200, deadline=None)
     @given(st.binary(max_size=200))
     def test_fuzz_never_crash(self, data):
@@ -233,6 +287,55 @@ class TestNative:
         except (BundleIOError, BundleError):
             return
         assert isinstance(b, Bundle)
+
+
+def mixed_bundle():
+    """Streamlines of 2, 3 and 5 points: every count differs."""
+    rng = np.random.default_rng(3)
+    return Bundle.from_streamlines([rng.normal(size=(k, 3)) for k in (3, 2, 5)])
+
+
+BLOB = write_native(mixed_bundle())
+# The bytes of the streamline count and of each point count.
+COUNT_BYTES = [5, 6, 7, 8] + [
+    9 + 4 * (j + 3 * int(o)) + i for j, o in enumerate(mixed_bundle().offsets[:-1]) for i in range(4)
+]
+
+
+class TestFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, len(BLOB) - 1))
+    def test_truncated(self, cut):
+        with pytest.raises(TruncatedFile):
+            read_native(BLOB[:cut])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.binary(min_size=1, max_size=64))
+    def test_appended(self, tail):
+        with pytest.raises(BundleIOError):
+            read_native(BLOB + tail)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                # Mostly in the header and the point counts; sometimes anywhere.
+                st.one_of(st.sampled_from(COUNT_BYTES), st.integers(0, len(BLOB) - 1)),
+                st.integers(1, 255),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_flipped(self, flips):
+        blob = bytearray(BLOB)
+        for pos, mask in flips:
+            blob[pos] ^= mask
+        try:
+            b = read_native(bytes(blob))
+        except (BundleIOError, BundleError):
+            return
+        assert write_native(b) == bytes(blob)
 
 
 class TestReplaceOnSuccess:

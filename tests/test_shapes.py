@@ -12,8 +12,11 @@ from bundleshape.shapes import (
     GridTooLarge,
     align_orientations,
     compute_measures,
+    _arc_lengths,
+    _segments,
     count_surface_voxels,
     voxelize,
+    voxelize_points,
 )
 
 from naive_oracle import naive_measures, naive_voxel_indices
@@ -22,13 +25,13 @@ from naive_oracle import naive_measures, naive_voxel_indices
 def straight_line(length=10.0, n=11):
     pts = np.zeros((n, 3))
     pts[:, 0] = np.linspace(0.0, length, n)
-    return Bundle((pts,))
+    return Bundle.from_streamlines((pts,))
 
 
 def semicircle(radius=50.0, n=2001):
     phi = np.linspace(0.0, np.pi, n)
     pts = np.stack([radius * np.cos(phi), radius * np.sin(phi), np.zeros(n)], axis=1)
-    return Bundle((pts,))
+    return Bundle.from_streamlines((pts,))
 
 
 def random_bundle(rng, max_extent=50.0):
@@ -41,7 +44,7 @@ def random_bundle(rng, max_extent=50.0):
         steps = rng.normal(0.0, max_extent / 40.0, size=(n_p - 1, 3))
         pts = np.concatenate([start[None], start[None] + np.cumsum(steps, axis=0)])
         streamlines.append(pts)
-    return Bundle(tuple(streamlines))
+    return Bundle.from_streamlines(tuple(streamlines))
 
 
 class TestAnalytic:
@@ -89,7 +92,7 @@ class TestInvariances:
             if lengths.count(max(lengths)) != 1:
                 continue  # ambiguous reference; tie-break is index-dependent
             perm = rng.permutation(b.n_streamlines)
-            b2 = Bundle(tuple(b.streamlines[i] for i in perm))
+            b2 = Bundle.from_streamlines(tuple(b.streamlines[i] for i in perm))
             m1 = compute_measures(b, voxel_size=1.0).as_array()
             m2 = compute_measures(b2, voxel_size=1.0).as_array()
             np.testing.assert_allclose(m1, m2, rtol=1e-9, atol=1e-12)
@@ -110,7 +113,7 @@ class TestInvariances:
             flipped = tuple(
                 s[::-1] if rng.random() < 0.5 else s for s in b.streamlines
             )
-            a1 = align_orientations(Bundle(flipped))
+            a1 = align_orientations(Bundle.from_streamlines(flipped))
             a2 = align_orientations(a1)
             for s1, s2 in zip(a1.streamlines, a2.streamlines):
                 np.testing.assert_array_equal(s1, s2)
@@ -126,12 +129,12 @@ class TestInvariances:
 
 class TestVoxelize:
     def test_single_voxel_segment(self):
-        b = Bundle((np.array([[0.1, 0.1, 0.1], [0.2, 0.2, 0.2]]),))
+        b = Bundle.from_streamlines((np.array([[0.1, 0.1, 0.1], [0.2, 0.2, 0.2]]),))
         grid = voxelize(b, 1.0)
         assert len(grid) == 1
 
     def test_axis_aligned_run(self):
-        b = Bundle((np.array([[0.5, 0.5, 0.5], [9.5, 0.5, 0.5]]),))
+        b = Bundle.from_streamlines((np.array([[0.5, 0.5, 0.5], [9.5, 0.5, 0.5]]),))
         grid = voxelize(b, 1.0)
         assert len(grid) == 10
         assert count_surface_voxels(grid.indices) == 10
@@ -145,7 +148,7 @@ class TestVoxelize:
 
     def test_axis_longer_than_2_pow_21_cells(self):
         n = (1 << 21) + 5
-        grid = voxelize(Bundle((np.array([[0.25, 0.5, 0.5], [n - 0.75, 0.5, 0.5]]),)), 1.0)
+        grid = voxelize(Bundle.from_streamlines((np.array([[0.25, 0.5, 0.5], [n - 0.75, 0.5, 0.5]]),)), 1.0)
         extent = grid.indices.max(axis=0) - grid.indices.min(axis=0) + 1
         np.testing.assert_array_equal(extent, [n, 1, 1])
         assert len(grid) == n
@@ -161,6 +164,37 @@ class TestVoxelize:
         grid = voxelize(straight_line(), 1.0)
         assert isinstance(grid.occupied, frozenset)
         assert len(grid.occupied) == len(grid)
+
+
+class TestRaggedReductions:
+    def test_arc_lengths_equal_slice_sums(self):
+        """Grouped row sums == one slice sum per streamline, bit for bit."""
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            counts = rng.choice([2, 3, 9, 17, 130, 701], size=int(rng.integers(1, 40)))
+            b = Bundle.from_streamlines([rng.normal(size=(k, 3)) * 10.0 for k in counts])
+            off = b.offsets
+            seg_len = _segments(b.points, off)[2]
+            slices = [seg_len[off[j] : off[j + 1] - 1].sum() for j in range(b.n_streamlines)]
+            np.testing.assert_array_equal(_arc_lengths(seg_len, off), slices)
+
+    def test_end_voxels_equal_unique_rows(self):
+        rng = np.random.default_rng(4)
+        for v in (0.3, 1.0, 2.5):
+            pts = rng.normal(size=(300, 3)) * rng.uniform(0.5, 20.0)
+            expected = np.unique(np.floor((pts + 3.0) / v).astype(np.int64), axis=0)
+            np.testing.assert_array_equal(voxelize_points(pts, np.array([-3.0] * 3), v), expected)
+
+    def test_end_voxel_keys_past_int64(self):
+        pts = np.array([[0.0, 0.0, 0.0], [1e7, 1e7, 1e7]])
+        with pytest.raises(GridTooLarge):
+            voxelize_points(pts, np.zeros(3), 1e-3)
+
+    def test_overflowing_volume_names_voxel_size(self):
+        # (1e120 mm)^3 and 2 * (5e102 mm)^3 exceed the largest float.
+        for v in (1e120, 5e102):
+            with pytest.raises(FloatingPointError, match="voxel_size"):
+                compute_measures(straight_line(length=1e104, n=11), v)
 
 
 class TestBounds:
@@ -183,7 +217,7 @@ class TestBounds:
     def test_far_apart_streamlines(self):
         # Few samples, but a bounding box of ~1e8 cells.
         near = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        b = Bundle((near, near + [0.0, 5000.0, 5000.0]))
+        b = Bundle.from_streamlines((near, near + [0.0, 5000.0, 5000.0]))
         assert self._peak_bytes(compute_measures, b, 1.0) < 1 << 20
 
     def test_surface_count_of_spread_indices(self):
@@ -196,7 +230,7 @@ class TestDegenerate:
         phi = np.linspace(0.0, 2 * np.pi, 100)
         pts = np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=1)
         with pytest.raises(DegenerateSpan):
-            compute_measures(Bundle((pts,)), voxel_size=1.0)
+            compute_measures(Bundle.from_streamlines((pts,)), voxel_size=1.0)
 
 
 class TestBruteForce:
@@ -214,7 +248,7 @@ class TestBruteForce:
                 if checked % 2:
                     # Vertices on a 0.1 mm lattice put many samples on voxel
                     # faces, where the rounding of each step decides the voxel.
-                    b = Bundle(tuple(np.round(s * 10.0) / 10.0 for s in b.streamlines))
+                    b = Bundle.from_streamlines(tuple(np.round(s * 10.0) / 10.0 for s in b.streamlines))
                 grid = voxelize(b, v)
                 extent = grid.indices.max(axis=0) - grid.indices.min(axis=0) + 1
                 if extent.max() > 64:
