@@ -12,9 +12,7 @@ import argparse
 import sys
 
 from .config import ConfigError, describe_keys, load_config
-from .io import BundleError, BundleIOError
 from .net import VARIANTS
-from .shapes import DegenerateBundle, DegenerateSpan
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -125,7 +123,7 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:  # non-finite loss, measures or predictions; overflow
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (BundleIOError, BundleError, DegenerateBundle, DegenerateSpan, FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK

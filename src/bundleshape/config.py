@@ -129,11 +129,15 @@ def _convert(key: str, raw: str):
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
-    """Load a sectioned key=value file; missing keys take their defaults."""
+    """Load a sectioned key=value file; missing keys take their defaults.
+    Values are read literally (no ``%`` interpolation)."""
     values: dict = {}
     if path is not None:
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            read = parser.read(path)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from None
         if not read:
             raise ConfigError(f"cannot read config file {path!r}")
         for section in parser.sections():
@@ -155,6 +159,9 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("split fractions must be in (0, 1)")
     if cfg.train_frac + cfg.val_frac >= 1:
         raise ConfigError("train_frac + val_frac must leave room for a test split")
+    for key in ("n_bundles", "n_points"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
     if not 0 < cfg.voxel_size < math.inf:  # also refuses NaN
         raise ConfigError("voxel_size must be positive and finite")
     if not 1 <= cfg.pca_k <= 10:

@@ -69,21 +69,19 @@ def extract_tabular(bundle: Bundle) -> tuple[int, int]:
 class TabStandardizer:
     """Per-column z-scoring with training-split statistics (population sd)."""
 
-    mean: np.ndarray  # (2,)
-    sd: np.ndarray  # (2,)
-
-    def apply(self, row) -> np.ndarray:
-        return (np.asarray(row, dtype=np.float64) - self.mean) / self.sd
+    mean: np.ndarray  # (d,)
+    sd: np.ndarray  # (d,)
 
     def apply_many(self, rows) -> np.ndarray:
+        """z-scores of one row or an (n, d) matrix of rows."""
         return (np.asarray(rows, dtype=np.float64) - self.mean) / self.sd
 
 
 def fit_standardizer(rows) -> TabStandardizer:
-    """Fit column means/sds on training tabular rows."""
+    """Fit column means/sds on an (n, d) matrix of training rows."""
     data = np.asarray(rows, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 2:
-        raise ValueError("need at least 2 training rows")
+        raise ValueError("need an (n, d) matrix with n >= 2")
     mean = data.mean(axis=0)
     sd = data.std(axis=0)  # population sd
     if np.any(sd <= 0):

@@ -7,6 +7,9 @@ Two on-disk formats are supported:
 * a compact native binary format (magic ``T2SB``) storing 32-bit
   little-endian coordinates.
 
+It also holds the stamped CSV format that the pipeline stages hand to each
+other (:func:`write_csv`, :func:`read_csv`).
+
 A :class:`Bundle` stores its streamlines ragged (one point array plus row offsets);
 ``Bundle.from_streamlines([s0, s1])`` builds one from a list of (n_i, 3) arrays.
 
@@ -18,6 +21,7 @@ documented lossy boundary.
 from __future__ import annotations
 
 import contextlib
+import csv
 import os
 import struct
 import warnings
@@ -41,6 +45,8 @@ __all__ = [
     "read_native",
     "write_native",
     "replace_on_success",
+    "write_csv",
+    "read_csv",
 ]
 
 NATIVE_MAGIC = b"T2SB"
@@ -342,3 +348,41 @@ def replace_on_success(path, binary: bool = False):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+# ---------------------------------------------------------------------------
+# Stamped CSV
+
+
+def write_csv(path, header, rows, comment: str | None = None) -> None:
+    """Write an optional ``# comment`` line, the header row and one record
+    per row, through :func:`replace_on_success`."""
+    with replace_on_success(path) as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv(path, header) -> list[list[str]]:
+    """The records of a CSV written by :func:`write_csv`, ``#`` lines skipped.
+
+    Raises MalformedHeader naming ``path`` for an empty file, a header other
+    than ``header``, a record with the wrong number of fields, bytes that do
+    not decode or a ``csv.Error``.
+    """
+    header = list(header)
+    with open(path, newline="") as fh:
+        try:
+            records = list(csv.reader(ln for ln in fh if not ln.startswith("#")))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise MalformedHeader(f"{path}: {exc}") from None
+    if not records:
+        raise MalformedHeader(f"{path}: empty file, expected the header {','.join(header)}")
+    if records[0] != header:
+        raise MalformedHeader(f"{path}: header {','.join(records[0])} is not {','.join(header)}")
+    for i, rec in enumerate(records[1:], 1):
+        if len(rec) != len(header):
+            raise MalformedHeader(f"{path}: record {i} has {len(rec)} fields, not {len(header)}")
+    return records[1:]

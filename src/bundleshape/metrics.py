@@ -5,7 +5,6 @@ t-test (p-value via SciPy's regularized incomplete beta function).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -13,7 +12,7 @@ import numpy as np
 from scipy import special
 
 from .features import ZeroVariance
-from .io import replace_on_success
+from .io import write_csv
 from .shapes import MEASURE_NAMES
 
 __all__ = [
@@ -117,6 +116,10 @@ class EvalReport:
     def sd_nmse(self) -> float:
         return float(self.nmse.std(ddof=1))
 
+    def average(self, metric: str) -> str:
+        """``mean±sd`` over the ten measures of ``metric`` ("pearson" or "nmse")."""
+        return f"{getattr(self, f'mean_{metric}'):.6f}±{getattr(self, f'sd_{metric}'):.6f}"
+
 
 def evaluate(predictions, ground_truth, variant: str = "full") -> EvalReport:
     """Per-measure metrics for (n, 10) prediction/ground-truth matrices."""
@@ -131,17 +134,7 @@ def evaluate(predictions, ground_truth, variant: str = "full") -> EvalReport:
 
 def write_report(report: EvalReport, path, header_comment: str | None = None) -> None:
     """CSV: one row per measure plus a trailing average row with mean±sd."""
-    with replace_on_success(path) as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["measure", "pearson_r", "nmse"])
-        for name, r, e in zip(MEASURE_NAMES, report.pearson, report.nmse):
-            writer.writerow([name, f"{r:.6f}", f"{e:.6f}"])
-        writer.writerow(
-            [
-                "average",
-                f"{report.mean_pearson:.6f}±{report.sd_pearson:.6f}",
-                f"{report.mean_nmse:.6f}±{report.sd_nmse:.6f}",
-            ]
-        )
+    scores = zip(MEASURE_NAMES, report.pearson, report.nmse)
+    rows = [[name, f"{r:.6f}", f"{e:.6f}"] for name, r, e in scores]
+    rows.append(["average", report.average("pearson"), report.average("nmse")])
+    write_csv(path, ["measure", "pearson_r", "nmse"], rows, header_comment)

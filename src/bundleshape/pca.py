@@ -14,18 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .features import fit_standardizer
+
 __all__ = [
-    "ZeroVarianceColumn",
     "RankDeficientWarning",
     "PcaModel",
     "fit",
     "transform",
     "inverse_transform",
 ]
-
-
-class ZeroVarianceColumn(ValueError):
-    pass
 
 
 class RankDeficientWarning(UserWarning):
@@ -63,19 +60,13 @@ class PcaModel:
 
 
 def fit(rows, k: int = 5) -> PcaModel:
-    """Fit a k-component PCA of the (n, d) measure matrix via SVD."""
-    data = np.asarray(rows, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] < 2:
-        raise ValueError("need an (n, d) matrix with n >= 2")
-    n, d = data.shape
+    """Fit a k-component PCA of the (n, d) measure matrix via SVD; raises
+    ZeroVariance for a constant column."""
+    standardizer = fit_standardizer(rows)
+    z = standardizer.apply_many(rows)
+    n, d = z.shape
     if not 1 <= k <= d:
         raise ValueError(f"k must be in [1, {d}], got {k}")
-
-    mean = data.mean(axis=0)
-    sd = data.std(axis=0)  # population sd
-    if np.any(sd <= 0):
-        raise ZeroVarianceColumn(f"zero-variance column(s): {np.where(sd <= 0)[0].tolist()}")
-    z = (data - mean) / sd
 
     _, sigma, vt = np.linalg.svd(z, full_matrices=False)
     nonzero = int(np.sum(sigma > sigma[0] * 1e-12)) if sigma[0] > 0 else 0
@@ -95,8 +86,8 @@ def fit(rows, k: int = 5) -> PcaModel:
     explained = all_var[:k]
     ratio = explained / all_var.sum()
     return PcaModel(
-        feature_mean=mean,
-        feature_sd=sd,
+        feature_mean=standardizer.mean,
+        feature_sd=standardizer.sd,
         components=components,
         explained_variance=explained,
         explained_variance_ratio=ratio,

@@ -7,7 +7,6 @@ the config hash plus master seed for traceability.
 
 from __future__ import annotations
 
-import csv
 import time
 from pathlib import Path
 
@@ -17,7 +16,7 @@ from . import pca as shape_pca
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_hash
 from .features import sample_points
-from .io import read_native, replace_on_success
+from .io import read_csv, read_native, replace_on_success, write_csv
 from .metrics import EvalReport, evaluate, write_report
 from .net import VARIANTS, backward, forward, init_params, paired_loss
 from .shapes import MEASURE_NAMES, compute_measures
@@ -41,9 +40,11 @@ __all__ = [
     "run_gradcheck",
     "run_bench",
     "read_measures_csv",
+    "write_measures_csv",
 ]
 
 SUBJECT_EQUIVALENT_BUNDLES = 73  # fiber clusters per subject in typical atlases
+MEASURES_HEADER = ("path", *MEASURE_NAMES)
 
 
 def stamp(cfg: RunConfig) -> str:
@@ -98,35 +99,46 @@ def run_synth(cfg: RunConfig):
 
 def run_shape(cfg: RunConfig) -> Path:
     """Compute ground-truth measures for every bundle in the manifest."""
-    rows = read_manifest(manifest_path(cfg))
+    paths = [row.path for row in read_manifest(manifest_path(cfg))]
+    bundles = (read_native(Path(p).read_bytes()) for p in paths)
+    measures = (compute_measures(b, cfg.voxel_size).as_array() for b in bundles)
     out = measures_path(cfg)
-    with replace_on_success(out) as fh:
-        fh.write(f"# {stamp(cfg)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["path"] + list(MEASURE_NAMES))
-        for row in rows:
-            bundle = read_native(Path(row.path).read_bytes())
-            m = compute_measures(bundle, cfg.voxel_size).as_array()
-            if not np.isfinite(m).all():
-                raise FloatingPointError(f"non-finite shape measures for {row.path}")
-            writer.writerow([row.path] + [repr(float(v)) for v in m])
+    write_measures_csv(out, paths, measures, stamp(cfg))
     return out
 
 
+def write_measures_csv(path, bundle_paths, measures, comment: str) -> None:
+    """The measures (or predictions) CSV: one row of ten measures per bundle.
+    Raises FloatingPointError, before ``path`` is replaced, for a non-finite
+    measure."""
+
+    def records():
+        for bundle_path, m in zip(bundle_paths, measures, strict=True):
+            if not np.isfinite(m).all():
+                raise FloatingPointError(f"non-finite measures for bundle {bundle_path}")
+            yield [bundle_path] + _reprs(m)
+
+    write_csv(path, MEASURES_HEADER, records(), comment)
+
+
+def _reprs(values) -> list[str]:
+    """Shortest round-tripping text of each value."""
+    return [repr(float(v)) for v in values]
+
+
 def read_measures_csv(path) -> tuple[list[str], np.ndarray]:
-    """Returns (bundle paths, (n, 10) measure matrix)."""
+    """Returns (bundle paths, (n, 10) measure matrix); raises ValueError naming
+    ``path`` for a malformed file or a non-numeric or non-finite measure."""
     paths, rows = [], []
-    with open(path, newline="") as fh:
-        lines = (ln for ln in fh if not ln.startswith("#"))
-        reader = csv.reader(lines)
-        header = next(reader)
-        if header[1:] != list(MEASURE_NAMES):
-            raise ValueError(f"unexpected measures header: {header}")
-        for rec in reader:
-            paths.append(rec[0])
-            rows.append([float(v) for v in rec[1:]])
-            if not np.isfinite(rows[-1]).all():
-                raise ValueError(f"{path}: non-finite measure for bundle {rec[0]}")
+    for rec in read_csv(path, MEASURES_HEADER):
+        try:
+            values = [float(v) for v in rec[1:]]
+        except ValueError:
+            raise ValueError(f"{path}: non-numeric measure for bundle {rec[0]}") from None
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: non-finite measure for bundle {rec[0]}")
+        paths.append(rec[0])
+        rows.append(values)
     return paths, np.asarray(rows, dtype=np.float64)
 
 
@@ -138,19 +150,15 @@ def run_pca(cfg: RunConfig) -> Path:
     train_rows = measures[[i for i, r in enumerate(rows) if r.split == "train"]]
     model = shape_pca.fit(train_rows, k=cfg.pca_k)
     out = _work(cfg) / "pca_model.csv"
-    with replace_on_success(out) as fh:
-        fh.write(f"# {stamp(cfg)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["quantity", "component"] + list(MEASURE_NAMES))
-        writer.writerow(["feature_mean", ""] + [repr(float(v)) for v in model.feature_mean])
-        writer.writerow(["feature_sd", ""] + [repr(float(v)) for v in model.feature_sd])
-        for i in range(model.k):
-            writer.writerow([f"component", str(i)] + [repr(float(v)) for v in model.components[i]])
-        writer.writerow(
-            ["explained_variance_ratio", ""]
-            + [repr(float(v)) for v in model.explained_variance_ratio]
-            + [""] * (10 - model.k)
-        )
+    rows = [
+        ["feature_mean", ""] + _reprs(model.feature_mean),
+        ["feature_sd", ""] + _reprs(model.feature_sd),
+        *(["component", str(i)] + _reprs(c) for i, c in enumerate(model.components)),
+        ["explained_variance_ratio", ""]
+        + _reprs(model.explained_variance_ratio)
+        + [""] * (len(MEASURE_NAMES) - model.k),
+    ]
+    write_csv(out, ["quantity", "component", *MEASURE_NAMES], rows, stamp(cfg))
     return out
 
 
@@ -195,19 +203,8 @@ def run_predict(
     rows, data = _load_data(cfg, families)
     idx = data.indices(split)
     preds = predict_measures(ckpt, data.points[idx], data.tabular[idx])
-    bad = ~np.isfinite(preds).all(axis=1)
-    if bad.any():
-        raise FloatingPointError(
-            f"non-finite predictions for {bad.sum()} of {len(idx)} bundles, "
-            f"e.g. {rows[idx[bad.argmax()]].path}"
-        )
     out = predictions_path(cfg, variant)
-    with replace_on_success(out) as fh:
-        fh.write(f"# {stamp(cfg)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["path"] + list(MEASURE_NAMES))
-        for j, i in enumerate(idx):
-            writer.writerow([rows[i].path] + [repr(float(v)) for v in preds[j]])
+    write_measures_csv(out, [rows[i].path for i in idx], preds, stamp(cfg))
     return out
 
 
@@ -228,21 +225,16 @@ def run_eval(cfg: RunConfig, variant: str | None = None) -> EvalReport:
 
 def write_ablation_tables(cfg: RunConfig, reports: dict[str, EvalReport]) -> tuple[Path, Path]:
     """Combined per-measure tables (one column per variant), r and nMSE."""
+    variants = [v for v in VARIANTS if v in reports]
     paths = []
     for metric in ("pearson", "nmse"):
         out = _work(cfg) / f"ablation_{metric}.csv"
-        with replace_on_success(out) as fh:
-            fh.write(f"# {stamp(cfg)}\n")
-            writer = csv.writer(fh)
-            variants = [v for v in VARIANTS if v in reports]
-            writer.writerow(["measure"] + variants)
-            for j, name in enumerate(MEASURE_NAMES):
-                writer.writerow([name] + [f"{getattr(reports[v], metric)[j]:.6f}" for v in variants])
-            means = {
-                "pearson": lambda r: f"{r.mean_pearson:.6f}±{r.sd_pearson:.6f}",
-                "nmse": lambda r: f"{r.mean_nmse:.6f}±{r.sd_nmse:.6f}",
-            }[metric]
-            writer.writerow(["average"] + [means(reports[v]) for v in variants])
+        rows = [
+            [name] + [f"{getattr(reports[v], metric)[j]:.6f}" for v in variants]
+            for j, name in enumerate(MEASURE_NAMES)
+        ]
+        rows.append(["average"] + [reports[v].average(metric) for v in variants])
+        write_csv(out, ["measure", *variants], rows, stamp(cfg))
         paths.append(out)
     return tuple(paths)
 

@@ -20,7 +20,6 @@ import numpy as np
 from .io import Bundle
 
 __all__ = [
-    "DegenerateBundle",
     "DegenerateSpan",
     "GridTooLarge",
     "VoxelGrid",
@@ -42,10 +41,6 @@ SPAN_EPS = 1e-6  # mm; spans below this are treated as degenerate
 # samples and ~4e5 cells; an axis of more than 2**21 cells must still fit.
 MAX_SAMPLES = 1 << 23
 MAX_GRID_CELLS = 1 << 26
-
-
-class DegenerateBundle(ValueError):
-    """Bundle has zero total arc length; no geometry to measure."""
 
 
 class DegenerateSpan(ValueError):
@@ -182,8 +177,6 @@ def _sample_grid(cat: np.ndarray, off: np.ndarray, segments: tuple, voxel_size: 
     if not 0 < voxel_size < np.inf:
         raise ValueError(f"voxel_size must be positive and finite, got {voxel_size}")
     seg, base, seg_len = segments
-    if float(seg_len.sum()) <= 0.0:
-        raise DegenerateBundle("total arc length is zero")
     steps = np.maximum(np.ceil(seg_len / (voxel_size / 2.0)), 1.0)  # float: cannot wrap around
     steps[off[1:-1] - 1] = 0.0  # no samples between two streamlines
     n_first = off.shape[0] - 1
@@ -271,8 +264,6 @@ def compute_measures(bundle: Bundle, voxel_size: float = 1.0) -> ShapeMeasures:
 
     lengths = _arc_lengths(segments[2], off)
     length = float(lengths.mean())
-    if length <= 0.0:
-        raise DegenerateBundle("total arc length is zero")
 
     # Orientation alignment only affects which endpoint counts as "first";
     # apply the flip decisions of align_orientations to the endpoints

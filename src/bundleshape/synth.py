@@ -9,14 +9,14 @@ generators keyed by (seed, stream id), so generation is reproducible.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+import typing
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.stats import qmc
 
-from .io import Bundle, replace_on_success, write_native
+from .io import Bundle, read_csv, write_csv, write_native
 
 __all__ = [
     "FAMILIES",
@@ -162,7 +162,8 @@ class ManifestRow:
     pitch_mm: float
 
 
-MANIFEST_FIELDS = [f for f in ManifestRow.__dataclass_fields__]
+_MANIFEST_TYPES = typing.get_type_hints(ManifestRow)
+MANIFEST_FIELDS = list(_MANIFEST_TYPES)
 
 
 @dataclass(frozen=True)
@@ -296,33 +297,18 @@ def generate_dataset(config: DatasetConfig, header_comment: str | None = None) -
 
 
 def write_manifest(rows, path, header_comment: str | None = None) -> None:
-    with replace_on_success(path) as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.DictWriter(fh, fieldnames=MANIFEST_FIELDS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: getattr(row, k) for k in MANIFEST_FIELDS})
+    write_csv(path, MANIFEST_FIELDS, map(astuple, rows), header_comment)
 
 
 def read_manifest(path) -> list[ManifestRow]:
+    """The manifest's rows, each field converted to its ManifestRow type;
+    raises ValueError naming ``path`` for a malformed or empty manifest."""
     rows = []
-    with open(path, newline="") as fh:
-        lines = (ln for ln in fh if not ln.startswith("#"))
-        for rec in csv.DictReader(lines):
-            rows.append(
-                ManifestRow(
-                    path=rec["path"],
-                    family=rec["family"],
-                    split=rec["split"],
-                    seed=int(rec["seed"]),
-                    tube_radius=float(rec["tube_radius"]),
-                    n_streamlines=int(rec["n_streamlines"]),
-                    points_per_streamline=int(rec["points_per_streamline"]),
-                    jitter_sd=float(rec["jitter_sd"]),
-                    length_mm=float(rec["length_mm"]),
-                    angle_rad=float(rec["angle_rad"]),
-                    pitch_mm=float(rec["pitch_mm"]),
-                )
-            )
+    for rec in read_csv(path, MANIFEST_FIELDS):
+        try:
+            rows.append(ManifestRow(*(_MANIFEST_TYPES[k](v) for k, v in zip(MANIFEST_FIELDS, rec))))
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad manifest record for {rec[0]}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: the manifest lists no bundles")
     return rows

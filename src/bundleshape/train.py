@@ -9,7 +9,6 @@ are mapped back to the ten measures either way.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +17,7 @@ import numpy as np
 from . import pca as shape_pca
 from .checkpoint import Checkpoint, TrainConfig
 from .features import extract_tabular, fit_standardizer, sample_points
-from .io import Bundle, read_native, replace_on_success
+from .io import Bundle, read_native, write_csv
 from .net import backward, forward, init_params, paired_loss, uses_tabular
 from .optim import AdamState, adam_step, lr_at
 
@@ -181,10 +180,5 @@ def predict_bundle(ckpt: Checkpoint, bundle: Bundle, seed: int = 0) -> np.ndarra
 
 
 def write_train_log(log, path, header_comment: str | None = None) -> None:
-    with replace_on_success(path) as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.DictWriter(fh, fieldnames=["epoch", "step", "lr", "train_loss", "val_loss"])
-        writer.writeheader()
-        for row in log:
-            writer.writerow(row)
+    header = ["epoch", "step", "lr", "train_loss", "val_loss"]
+    write_csv(path, header, ([row[k] for k in header] for row in log), header_comment)

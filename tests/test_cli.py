@@ -5,6 +5,7 @@ import shutil
 import warnings
 
 import pytest
+from test_config import MALFORMED_CONFIGS
 
 from bundleshape import pipeline
 from bundleshape.checkpoint import load_checkpoint, save_checkpoint
@@ -185,6 +186,60 @@ class TestEditedPredictions:
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert str(preds) in err and fields[0] in err
         assert not (tmp_path / "run" / "report_full.csv").exists()
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("body", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
+    def test_one_config_error_line(self, tmp_path, monkeypatch, capsys, body):
+        monkeypatch.chdir(tmp_path)  # the default work_dir is relative
+        ini = tmp_path / "run.ini"
+        ini.write_bytes(body)
+        assert main(["synth", "-c", str(ini)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
+
+def edit_csv(path, case):
+    """Hand-edit a pipeline CSV (comment line, header, records) into ``case``."""
+    lines = path.read_text().splitlines()
+    if case == "empty":
+        lines = []
+    elif case == "missing_column":
+        lines[1:] = [ln.rsplit(",", 1)[0] for ln in lines[1:]]
+    elif case == "short_record":
+        lines[2] = lines[2].rsplit(",", 1)[0]
+    elif case == "non_numeric":
+        fields = lines[2].split(",")
+        fields[3] = "x"
+        lines[2] = ",".join(fields)
+    path.write_text("".join(ln + "\n" for ln in lines))
+
+
+class TestMalformedCsv:
+    """Each hand-edited CSV ends in one ``data error:`` line naming it."""
+
+    @pytest.mark.parametrize("case", ["empty", "missing_column", "short_record", "non_numeric"])
+    @pytest.mark.parametrize(
+        "name, command",
+        [
+            ("bundles/manifest.csv", "shape"),
+            ("measures.csv", "pca"),
+            ("predictions_full.csv", "eval"),
+        ],
+    )
+    def test_data_error(self, tiny_run, tmp_path, capsys, name, command, case):
+        cfg = copy_run(tiny_run, tmp_path)
+        if command == "eval":
+            assert main(["train", *cfg]) == EXIT_OK
+            assert main(["predict", *cfg]) == EXIT_OK
+        path = tmp_path / "run" / name
+        edit_csv(path, case)
+        capsys.readouterr()
+        assert main([command, *cfg]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert str(path) in err
 
 
 class TestPipeline:

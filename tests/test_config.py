@@ -1,6 +1,8 @@
 """Run-configuration loading, validation, and hashing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundleshape.checkpoint import TrainConfig
 from bundleshape.config import ConfigError, RunConfig, config_hash, describe_keys, load_config
@@ -69,6 +71,66 @@ class TestLoad:
         cfg = load_config(None, overrides={"batch_size": 16, "train_seed": 3, "n_points": 128})
         assert cfg.train_config() == TrainConfig(batch_size=16, seed=3, n_points=128)
         assert cfg.train_config("vanilla").variant == "vanilla"
+
+
+MALFORMED_CONFIGS = {
+    "no_section_header": b"work_dir = x\n",
+    "bare_line": b"[paths]\nwork_dir\n",
+    "repeated_key": b"[paths]\nwork_dir = a\nwork_dir = b\n",
+    "repeated_section": b"[paths]\n[paths]\n",
+    "not_utf8": b"[paths]\nwork_dir = \xff\n",
+    "negative_n_bundles": b"[dataset]\nn_bundles = -3\n",
+    "zero_n_points": b"[features]\nn_points = 0\n",
+}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("body", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
+    def test_config_error(self, tmp_path, body):
+        p = tmp_path / "run.ini"
+        p.write_bytes(body)
+        with pytest.raises(ConfigError):
+            load_config(str(p))
+
+    def test_percent_is_literal(self, tmp_path):
+        p = tmp_path / "run.ini"
+        p.write_text("[paths]\nwork_dir = run%1\n")
+        assert load_config(str(p)).work_dir == "run%1"
+        p.write_text("[paths]\nwork_dir = %(here)s/run\n")
+        assert load_config(str(p)).work_dir == "%(here)s/run"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.binary(max_size=200), st.text(max_size=200).map(str.encode)))
+    def test_fuzz(self, tmp_path_factory, body):
+        p = tmp_path_factory.mktemp("ini") / "run.ini"
+        p.write_bytes(body)
+        try:
+            load_config(str(p))
+        except ConfigError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(["[paths]", "[dataset]", "[shape]", "[features]", "[DEFAULT]"]),
+                st.builds(
+                    "{} = {}".format,
+                    st.sampled_from(["work_dir", "n_bundles", "n_points", "voxel_size", "variant"]),
+                    st.text(max_size=12),
+                ),
+                st.text(max_size=20),
+            ),
+            max_size=8,
+        )
+    )
+    def test_fuzz_near_valid(self, tmp_path_factory, lines):
+        p = tmp_path_factory.mktemp("ini") / "run.ini"
+        p.write_bytes("\n".join(lines).encode())
+        try:
+            load_config(str(p))
+        except ConfigError:
+            pass
 
 
 class TestHash:

@@ -96,7 +96,7 @@ class TestTabular:
         z = std.apply_many(rows)
         np.testing.assert_allclose(z.mean(axis=0), np.zeros(2), atol=1e-12)
         np.testing.assert_allclose(z.std(axis=0), np.ones(2), atol=1e-12)
-        np.testing.assert_allclose(std.apply(rows[0]), z[0], atol=1e-15)
+        np.testing.assert_allclose(std.apply_many(rows[0]), z[0], atol=1e-15)
 
     def test_zero_variance_rejected(self):
         with pytest.raises(ZeroVariance):

@@ -19,8 +19,10 @@ from bundleshape.io import (
     ShortStreamline,
     TruncatedFile,
     parse_polydata,
+    read_csv,
     read_native,
     replace_on_success,
+    write_csv,
     write_native,
     write_polydata,
 )
@@ -361,3 +363,62 @@ class TestReplaceOnSuccess:
             fh.write("a\nb\n")
         assert out.read_bytes() == b"a\nb\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+class TestCsv:
+    HEADER = ["path", "a", "b"]
+
+    def test_round_trip_bytes(self, tmp_path):
+        out = tmp_path / "t.csv"
+        write_csv(out, self.HEADER, [["x", 1, 2.5], ("y,z", "", "3")], comment="hash=h seed=1")
+        assert out.read_bytes() == b'# hash=h seed=1\npath,a,b\r\nx,1,2.5\r\n"y,z",,3\r\n'
+        assert read_csv(out, self.HEADER) == [["x", "1", "2.5"], ["y,z", "", "3"]]
+        write_csv(out, self.HEADER, [])
+        assert out.read_bytes() == b"path,a,b\r\n"
+        assert read_csv(out, self.HEADER) == []
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        out = tmp_path / "t.csv"
+        write_csv(out, self.HEADER, [["x", 1, 2]])
+        before = out.read_bytes()
+
+        def rows():
+            yield ["y", 3, 4]
+            raise FloatingPointError("bad row")
+
+        with pytest.raises(FloatingPointError):
+            write_csv(out, self.HEADER, rows())
+        assert out.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "body, match",
+        [
+            (b"", "empty file"),
+            (b"# only a comment\n", "empty file"),
+            (b"path,a\nx,1\n", "header path,a is not path,a,b"),
+            (b"path,b,a\nx,1,2\n", "header"),
+            (b"path,a,b\nx,1,2\nx,1\n", "record 2 has 2 fields, not 3"),
+            (b"path,a,b\nx,1,2,3\n", "record 1 has 4 fields"),
+            (b"path,a,b\n\n", "record 1 has 0 fields"),
+            (b"path,a,b\n" + b"x" * 200_000 + b",1,2\n", "field larger than field limit"),
+            (b"path,a,b\nx,\xff,2\n", "can't decode"),
+        ],
+    )
+    def test_malformed(self, tmp_path, body, match):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(body)
+        with pytest.raises(MalformedHeader, match=match) as exc:
+            read_csv(bad, self.HEADER)
+        assert str(bad) in str(exc.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=200))
+    def test_arbitrary_bytes(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("csv") / "fuzz.csv"
+        for body in (data, b"path,a,b\n" + data):  # the header lets records through
+            path.write_bytes(body)
+            try:
+                records = read_csv(path, self.HEADER)
+            except ValueError:
+                continue
+            assert all(len(rec) == 3 for rec in records)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bundleshape import pca
+from bundleshape.features import ZeroVariance
 
 
 def random_measures(rng, n=200, d=10):
@@ -78,7 +79,7 @@ class TestFit:
     def test_zero_variance_column_rejected(self):
         rows = np.random.default_rng(7).normal(size=(30, 10))
         rows[:, 3] = 2.5
-        with pytest.raises(pca.ZeroVarianceColumn):
+        with pytest.raises(ZeroVariance):
             pca.fit(rows, k=5)
 
     def test_rank_deficient_warns(self):

@@ -11,6 +11,7 @@ from bundleshape.synth import (
     generate_bundle,
     generate_dataset,
     read_manifest,
+    write_manifest,
 )
 
 
@@ -150,6 +151,12 @@ class TestDataset:
         rows = generate_dataset(cfg, header_comment="hash=x seed=1")
         back = read_manifest(tmp_path / "manifest.csv")
         assert back == rows
+
+    def test_manifest_without_bundles_is_refused(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        write_manifest([], path, header_comment="hash=x seed=1")
+        with pytest.raises(ValueError, match="lists no bundles"):
+            read_manifest(path)
 
     def test_bundle_files_load(self, tmp_path):
         cfg = DatasetConfig(out_dir=str(tmp_path), n_bundles=5, master_seed=2)
