@@ -48,6 +48,9 @@ class TrainConfig:
             raise ValueError("batch_size must be even and >= 2 (Siamese pairing)")
         if self.lam_pair < 0:
             raise ValueError("lam_pair must be >= 0")
+        for key in ("epochs", "sched_period"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)

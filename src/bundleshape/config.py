@@ -167,7 +167,7 @@ def _validate(cfg: RunConfig) -> None:
     if not 1 <= cfg.pca_k <= 10:
         raise ConfigError("pca_k must be in [1, 10]")
     try:
-        cfg.train_config()  # variant, batch size and lam_pair are checked there
+        cfg.train_config()  # checks variant, batch size, lam_pair, epochs, sched_period
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

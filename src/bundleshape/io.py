@@ -113,12 +113,17 @@ class Bundle:
             raise BundleError(f"offsets must rise from 0 to {pts.shape[0]} by 2 or more per streamline")
         if not np.isfinite(pts).all():
             raise BundleError("streamline contains non-finite coordinates")
-        # Positive arc length per streamline: squared segment norms summed per
-        # streamline, with the rows that straddle two streamlines zeroed out.
-        seg = np.diff(pts, axis=0)
-        sq = np.einsum("ij,ij->i", seg, seg)
-        sq[off[1:-1] - 1] = 0.0
-        if not (np.add.reduceat(sq, off[:-1]) > 0.0).all():
+        # Positive arc length per streamline. A sum of squares is > 0 exactly
+        # when one of its terms is, so look for a coordinate step with a
+        # positive square (a tiny step underflows to 0, as in the norm),
+        # leaving out the steps that join two streamlines.
+        flat = pts.reshape(-1)
+        moved = flat[3:] - flat[:-3]
+        with np.errstate(over="ignore"):  # an infinite square is still > 0
+            moved *= moved
+        moved = moved > 0.0
+        moved.reshape(-1, 3)[off[1:-1] - 1] = False
+        if not np.logical_or.reduceat(moved, 3 * off[:-1]).all():
             raise BundleError("streamline has zero arc length")
         for name, arr in (("points", pts), ("offsets", off)):
             arr.setflags(write=False)

@@ -31,6 +31,9 @@ Tie rule: a channel routes its gradient to the first point that attains
 the max of ``z = h3 @ W``, before the bias. A cloud of identical points
 thus sends every channel to point 0. A channel whose pooled value is
 zero after the ReLU (dead) gets zero gradient whichever point it names.
+The critical point is the first point whose ``z`` equals the pooled max,
+so it is not defined for a non-finite ``z`` (a NaN equals nothing); such
+a ``z`` only occurs in an epoch whose loss then raises FloatingPointError.
 """
 
 from __future__ import annotations
@@ -125,7 +128,9 @@ def _pooled_points(params, x, want_critical=False):
         z = (h @ w_last).reshape(-1, n_dim, POINT_WIDTHS[-1])
         z.max(axis=1, out=pooled[s : s + step])
         if want_critical:
-            arg = z.argmax(axis=1)  # first max of z on ties
+            # First point that attains the max of z. argmax over axis 1 works
+            # on a transposed copy: of a bool mask, not of the float64 z.
+            arg = (z == pooled[s : s + step, None, :]).argmax(axis=1)
             crit, inv = np.unique(arg + n_dim * np.arange(len(arg))[:, None], return_inverse=True)
             slot[s : s + step] = inv.reshape(arg.shape) + n_rows
             n_rows += crit.size

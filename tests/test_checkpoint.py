@@ -87,6 +87,12 @@ class TestFailures:
             with pytest.raises(TruncatedFile):
                 load_checkpoint(blob[:cut])
 
+    @pytest.mark.parametrize("key", ["epochs", "sched_period"])
+    def test_config_value_below_one(self, key):
+        blob = edited(save_checkpoint(make_checkpoint()), lambda h, _: h["config"].update({key: 0}))
+        with pytest.raises(MalformedHeader, match=key):
+            load_checkpoint(blob)
+
     def test_unknown_config_key(self):
         blob = edited(save_checkpoint(make_checkpoint()), lambda h, _: h["config"].update(bogus=1))
         with pytest.raises(MalformedHeader, match="bogus"):

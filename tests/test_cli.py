@@ -116,6 +116,26 @@ def assert_numeric_error(err):
     assert "Traceback" not in err
 
 
+class TestTrainSettings:
+    @pytest.mark.parametrize(
+        "key, setting",
+        [("epochs", "epochs = 0"), ("sched_period", "epochs = 1\nsched_period = 0")],
+        ids=["epochs", "sched_period"],
+    )
+    def test_refused_before_training(self, tiny_run, tmp_path, capsys, key, setting):
+        # sched_period = 0 used to divide by zero in lr_at (exit 4), and
+        # epochs = 0 wrote an untrained checkpoint (exit 0).
+        copy_run(tiny_run, tmp_path)
+        ini = tmp_path / "run.ini"
+        ini.write_text(ini.read_text().replace("epochs = 1", setting))
+        capsys.readouterr()
+        assert main(["train", "-c", str(ini)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert key in err
+        assert not (tmp_path / "run" / "model_full.ckpt").exists()
+
+
 class TestNumericErrors:
     def test_diverged_rerun_keeps_previous_checkpoint(self, tiny_run, tmp_path, capsys):
         cfg = copy_run(tiny_run, tmp_path)

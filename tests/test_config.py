@@ -58,7 +58,16 @@ class TestLoad:
             load_config(None, overrides={"pca_k": 0})
 
     @pytest.mark.parametrize(
-        "override", [{"variant": "nope"}, {"batch_size": 0}, {"batch_size": 7}, {"lam_pair": -1.0}]
+        "override",
+        [
+            {"variant": "nope"},
+            {"batch_size": 0},
+            {"batch_size": 7},
+            {"lam_pair": -1.0},
+            {"epochs": 0},
+            {"sched_period": 0},
+            {"sched_period": -200},
+        ],
     )
     def test_train_settings_refused_as_train_config_refuses_them(self, override):
         with pytest.raises(ValueError) as train_exc:
@@ -81,6 +90,8 @@ MALFORMED_CONFIGS = {
     "not_utf8": b"[paths]\nwork_dir = \xff\n",
     "negative_n_bundles": b"[dataset]\nn_bundles = -3\n",
     "zero_n_points": b"[features]\nn_points = 0\n",
+    "zero_epochs": b"[train]\nepochs = 0\n",
+    "zero_sched_period": b"[train]\nsched_period = 0\n",
 }
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bundleshape.features import (
+    POINT_SCALE,
     ZeroVariance,
     extract_tabular,
     fit_standardizer,
@@ -81,6 +82,42 @@ class TestSamplePoints:
         assert np.linalg.norm(pts) == pytest.approx(
             POINT_SCALE * np.linalg.norm(centered), rel=1e-9
         )
+
+
+def reference_sample_points(bundle, n, seed):
+    """The sampler written out with fancy indexing, ``** 3`` and a scaled copy."""
+    pts = bundle.points
+    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    idx = rng.choice(pts.shape[0], size=n, replace=pts.shape[0] < n)
+    sampled = pts[idx]
+    centered = sampled - sampled.mean(axis=0)
+    _, _, vt = np.linalg.svd(centered, full_matrices=False)
+    r = centered @ vt.T
+    r[:, np.sum(r ** 3, axis=0) < 0] *= -1.0
+    return r * POINT_SCALE
+
+
+def random_bundle(rng):
+    lengths = rng.integers(2, 40, size=rng.integers(1, 8))
+    walk = np.cumsum(rng.normal(scale=rng.uniform(0.1, 5.0), size=(lengths.sum(), 3)), axis=0)
+    walk += rng.uniform(-80, 80, size=3)
+    return Bundle.from_streamlines(np.split(walk, np.cumsum(lengths)[:-1]))
+
+
+class TestSamplePointsBitExact:
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 300])
+    def test_equal_to_reference(self, n):
+        rng = np.random.default_rng(n)
+        for k in range(25):
+            b = random_bundle(rng)
+            got = sample_points(b, n, seed=k)
+            np.testing.assert_array_equal(got, reference_sample_points(b, n, k))
+            assert (np.sum(got ** 3, axis=0) >= 0).all()
+
+    def test_cases_cover_both_sampling_modes(self):
+        rng = np.random.default_rng(64)
+        sizes = [random_bundle(rng).n_points for _ in range(25)]
+        assert min(sizes) < 64 < max(sizes)
 
 
 class TestTabular:

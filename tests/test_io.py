@@ -39,6 +39,23 @@ def simple_bundle():
     )
 
 
+def reference_accepts(pts, offsets):
+    """Positive arc length per streamline as the sum of squared segment norms."""
+    seg = np.diff(pts, axis=0)
+    sq = np.einsum("ij,ij->i", seg, seg)
+    sq[offsets[1:-1] - 1] = 0.0
+    return bool((np.add.reduceat(sq, offsets[:-1]) > 0.0).all())
+
+
+def assert_arc_length_check_as_reference(pts, offsets):
+    offsets = np.asarray(offsets)
+    if reference_accepts(pts, offsets):
+        Bundle(pts, offsets)
+    else:
+        with pytest.raises(BundleError, match="zero arc length"):
+            Bundle(pts, offsets)
+
+
 class TestBundle:
     def test_basic_properties(self):
         b = simple_bundle()
@@ -104,6 +121,45 @@ class TestBundle:
         degenerate = np.ones((3, 3))
         with pytest.raises(BundleError):
             Bundle.from_streamlines((good, degenerate))
+
+    @pytest.mark.parametrize(
+        "step, valid",
+        [(1e-150, True), (1.6e-162, True), (1.5e-162, False), (1e-170, False), (0.0, False)],
+    )
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_arc_length_check_matches_squared_norms(self, step, valid, axis):
+        # One streamline moves by ``step`` along one axis and the next moves by
+        # 1: the bundle is valid exactly when step ** 2 does not underflow.
+        still = np.zeros((3, 3))
+        still[2, axis] = step
+        moving = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        for pts, offsets in (
+            (np.concatenate([still, moving]), [0, 3, 5]),
+            (np.concatenate([moving, still]), [0, 2, 5]),
+        ):
+            assert reference_accepts(pts, np.array(offsets)) == valid
+            assert_arc_length_check_as_reference(pts, offsets)
+
+    def test_movement_on_the_joining_row_does_not_count(self):
+        # Each streamline is a point repeated; only the rows that join two
+        # streamlines move, and those are not segments.
+        pts = np.repeat(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [4.0, 4.0, 4.0]]), 2, axis=0)
+        assert not reference_accepts(pts, np.array([0, 2, 4, 6]))
+        assert_arc_length_check_as_reference(pts, [0, 2, 4, 6])
+
+    def test_arc_length_check_sweep_over_tiny_steps(self):
+        rng = np.random.default_rng(9)
+        accepted = 0
+        for _ in range(300):
+            lengths = rng.integers(2, 5, size=rng.integers(1, 5))
+            offsets = np.concatenate([[0], np.cumsum(lengths)])
+            sizes = [0.0, 1e-200, 1e-163, 1.5e-162, 1e-161, 1e-150, 1.0]
+            steps = rng.choice(sizes, size=(offsets[-1], 3))
+            steps *= rng.random((offsets[-1], 3)) < 0.4
+            pts = np.cumsum(steps * rng.choice([-1.0, 1.0], size=steps.shape), axis=0)
+            accepted += reference_accepts(pts, offsets)
+            assert_arc_length_check_as_reference(pts, offsets)
+        assert 60 < accepted < 240  # both outcomes are well represented
 
     def test_translated(self):
         b = simple_bundle().translated([1.0, -2.0, 3.0])
