@@ -30,6 +30,11 @@ CHECKPOINT_VERSION = 1
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The [train] settings plus [features] n_points and [pca] pca_k: the one
+    place their defaults and bounds are declared. Raises ValueError for a
+    value out of bounds, whether it comes from a run config, a checkpoint
+    header or a caller."""
+
     variant: str = "full"
     batch_size: int = 32
     epochs: int = 30
@@ -51,6 +56,10 @@ class TrainConfig:
         for key in ("epochs", "sched_period"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.n_points < 3:  # fewer points give no 3-D principal frame
+            raise ValueError(f"n_points must be >= 3, got {self.n_points}")
+        if not 1 <= self.pca_k <= 10:
+            raise ValueError(f"pca_k must be in [1, 10], got {self.pca_k}")
 
 
 @dataclass(frozen=True)

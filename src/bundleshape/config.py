@@ -1,8 +1,11 @@
 """Sectioned key=value run configuration.
 
 Every key has a documented default; unknown sections or keys are
-rejected. A stable hash of the resolved configuration is embedded in
-every output file so results can be traced back to their settings.
+rejected. A key's default and bounds are declared once, in the stage
+config that reads it (``synth.DatasetConfig``, ``checkpoint.TrainConfig``);
+``RunConfig`` is the flat set of keys derived from them. A stable hash
+of the resolved configuration is embedded in every output file so
+results can be traced back to their settings.
 """
 
 from __future__ import annotations
@@ -10,9 +13,10 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import field, fields, make_dataclass, replace
 
 from .checkpoint import TrainConfig
+from .synth import DatasetConfig
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "config_hash", "describe_keys"]
 
@@ -21,97 +25,51 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    # [paths]
-    work_dir: str = "run"
-    # [dataset]
-    n_bundles: int = 600
-    master_seed: int = 7
-    train_frac: float = 0.70
-    val_frac: float = 0.15
-    cylinder_weight: float = 0.4
-    arc_weight: float = 0.3
-    helix_weight: float = 0.3
-    length_min: float = 40.0
-    length_max: float = 120.0
-    tube_radius_min: float = 1.5
-    tube_radius_max: float = 5.0
-    jitter_min: float = 0.1
-    jitter_max: float = 0.4
-    points_min: int = 40
-    points_max: int = 100
-    streamline_density: float = 4.0
-    # [shape]
-    voxel_size: float = 1.0
-    # [features]
-    n_points: int = 1024
-    # [pca]
-    pca_k: int = 5
-    # [train]
-    variant: str = "full"
-    batch_size: int = 32
-    epochs: int = 30
-    lr0: float = 2e-3
-    sched_period: int = 200
-    sched_gamma: float = 0.1
-    lam_pair: float = 1.0
-    weight_decay: float = 0.005
-    train_seed: int = 0
+# Each key sets the stage config field of its own name, but for TrainConfig.seed
+# (so named in checkpoint headers), which the key train_seed sets.
+_KEY_OF_FIELD = {"seed": "train_seed"}
+_TRAIN_SECTIONS = {"n_points": "features", "pca_k": "pca"}  # the other TrainConfig fields are [train]
 
+# (section, key, type, default) of every key. work_dir and voxel_size are the
+# two that no stage config reads.
+_KEYS = (
+    ("paths", "work_dir", "str", "run"),
+    *(("dataset", f.name, f.type, f.default) for f in fields(DatasetConfig) if f.name != "out_dir"),
+    ("shape", "voxel_size", "float", 1.0),
+    *(
+        (_TRAIN_SECTIONS.get(f.name, "train"), _KEY_OF_FIELD.get(f.name, f.name), f.type, f.default)
+        for f in fields(TrainConfig)
+    ),
+)
+_SCHEMA: dict[str, tuple[str, ...]] = {
+    section: tuple(key for s, key, _, _ in _KEYS if s == section)
+    for section in ("paths", "dataset", "shape", "features", "pca", "train")
+}
+
+
+class _StageConfigs:
     def train_config(self, variant: str | None = None) -> TrainConfig:
         """The [train] settings (``variant`` overrides the configured one);
         raises ValueError for a setting TrainConfig refuses."""
-        return TrainConfig(
-            variant=variant or self.variant,
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            lr0=self.lr0,
-            sched_period=self.sched_period,
-            sched_gamma=self.sched_gamma,
-            lam_pair=self.lam_pair,
-            weight_decay=self.weight_decay,
-            n_points=self.n_points,
-            pca_k=self.pca_k,
-            seed=self.train_seed,
-        )
+        return self._stage(TrainConfig, variant=variant or self.variant)
+
+    def dataset_config(self, out_dir: str) -> DatasetConfig:
+        """The [dataset] settings, writing under ``out_dir``; raises
+        ValueError for a setting DatasetConfig refuses."""
+        return self._stage(DatasetConfig, out_dir=out_dir)
+
+    def _stage(self, stage, **given):
+        keys = (f.name for f in fields(stage) if f.name not in given)
+        return stage(**{k: getattr(self, _KEY_OF_FIELD.get(k, k)) for k in keys}, **given)
 
 
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    "paths": ("work_dir",),
-    "dataset": (
-        "n_bundles",
-        "master_seed",
-        "train_frac",
-        "val_frac",
-        "cylinder_weight",
-        "arc_weight",
-        "helix_weight",
-        "length_min",
-        "length_max",
-        "tube_radius_min",
-        "tube_radius_max",
-        "jitter_min",
-        "jitter_max",
-        "points_min",
-        "points_max",
-        "streamline_density",
-    ),
-    "shape": ("voxel_size",),
-    "features": ("n_points",),
-    "pca": ("pca_k",),
-    "train": (
-        "variant",
-        "batch_size",
-        "epochs",
-        "lr0",
-        "sched_period",
-        "sched_gamma",
-        "lam_pair",
-        "weight_decay",
-        "train_seed",
-    ),
-}
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(key, kind, field(default=default)) for _, key, kind, default in _KEYS],
+    bases=(_StageConfigs,),
+    namespace={"__module__": __name__, "__doc__": "Every key of a run, defaulting as its stage config does."},
+    frozen=True,
+)
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
@@ -155,19 +113,11 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
 
 
 def _validate(cfg: RunConfig) -> None:
-    if not 0 < cfg.train_frac < 1 or not 0 < cfg.val_frac < 1:
-        raise ConfigError("split fractions must be in (0, 1)")
-    if cfg.train_frac + cfg.val_frac >= 1:
-        raise ConfigError("train_frac + val_frac must leave room for a test split")
-    for key in ("n_bundles", "n_points"):
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
     if not 0 < cfg.voxel_size < math.inf:  # also refuses NaN
         raise ConfigError("voxel_size must be positive and finite")
-    if not 1 <= cfg.pca_k <= 10:
-        raise ConfigError("pca_k must be in [1, 10]")
     try:
-        cfg.train_config()  # checks variant, batch size, lam_pair, epochs, sched_period
+        cfg.dataset_config(out_dir=cfg.work_dir)
+        cfg.train_config()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

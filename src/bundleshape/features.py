@@ -11,15 +11,12 @@ import numpy as np
 from .io import Bundle
 
 __all__ = [
-    "DEFAULT_N_POINTS",
     "ZeroVariance",
     "TabStandardizer",
     "sample_points",
     "extract_tabular",
     "fit_standardizer",
 ]
-
-DEFAULT_N_POINTS = 1024
 
 # Fixed unit change applied to sampled clouds: raw coordinates span tens of
 # millimetres, which puts He-initialized activations far from O(1) and slows
@@ -33,7 +30,7 @@ class ZeroVariance(ValueError):
     """A column or vector has no variance; standardization or correlation is undefined."""
 
 
-def sample_points(bundle: Bundle, n: int = DEFAULT_N_POINTS, seed: int = 0) -> np.ndarray:
+def sample_points(bundle: Bundle, n: int, seed: int = 0) -> np.ndarray:
     """Randomly sample n points from the bundle in a canonical pose.
 
     Sampling is without replacement when the bundle has at least n
@@ -45,8 +42,8 @@ def sample_points(bundle: Bundle, n: int = DEFAULT_N_POINTS, seed: int = 0) -> n
     reflection-invariant, so the canonical frame is allowed to flip
     handedness.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if n < 3:  # fewer rows give a (n, n) rotation, not a 3-D frame
+        raise ValueError(f"n must be >= 3, got {n}")
     pts = bundle.points
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
     replace = pts.shape[0] < n

@@ -336,7 +336,9 @@ def read_native(data: bytes, subject_id: str = "", cluster_id: str = "") -> Bund
         raise ShortStreamline(f"streamline of {counts.min()} points")
     points = np.delete(words[:pos], heads).view("<f4").reshape(-1, 3)
     offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-    return Bundle(points.astype(np.float64), offsets, subject_id=subject_id, cluster_id=cluster_id)
+    with np.errstate(invalid="ignore"):  # a signalling NaN warns when cast; Bundle refuses it
+        points = points.astype(np.float64)
+    return Bundle(points, offsets, subject_id=subject_id, cluster_id=cluster_id)
 
 
 @contextlib.contextmanager

@@ -59,7 +59,7 @@ class PcaModel:
         return np.asarray(scores, dtype=np.float64) * self.score_sd
 
 
-def fit(rows, k: int = 5) -> PcaModel:
+def fit(rows, k: int) -> PcaModel:
     """Fit a k-component PCA of the (n, d) measure matrix via SVD; raises
     ZeroVariance for a constant column."""
     standardizer = fit_standardizer(rows)

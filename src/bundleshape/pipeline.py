@@ -20,7 +20,7 @@ from .io import read_csv, read_native, replace_on_success, write_csv
 from .metrics import EvalReport, evaluate, write_report
 from .net import VARIANTS, backward, forward, init_params, paired_loss
 from .shapes import MEASURE_NAMES, compute_measures
-from .synth import DatasetConfig, generate_dataset, read_manifest
+from .synth import generate_dataset, read_manifest
 from .train import (
     load_training_arrays,
     predict_measures,
@@ -57,21 +57,6 @@ def _work(cfg: RunConfig) -> Path:
     return p
 
 
-def _dataset_config(cfg: RunConfig) -> DatasetConfig:
-    return DatasetConfig(
-        out_dir=str(_work(cfg) / "bundles"),
-        n_bundles=cfg.n_bundles,
-        master_seed=cfg.master_seed,
-        split_fractions=(cfg.train_frac, cfg.val_frac, 1 - cfg.train_frac - cfg.val_frac),
-        family_weights=(cfg.cylinder_weight, cfg.arc_weight, cfg.helix_weight),
-        length_range=(cfg.length_min, cfg.length_max),
-        tube_radius_range=(cfg.tube_radius_min, cfg.tube_radius_max),
-        jitter_range=(cfg.jitter_min, cfg.jitter_max),
-        points_range=(cfg.points_min, cfg.points_max),
-        streamline_density=cfg.streamline_density,
-    )
-
-
 def manifest_path(cfg: RunConfig) -> Path:
     return _work(cfg) / "bundles" / "manifest.csv"
 
@@ -94,7 +79,7 @@ def report_path(cfg: RunConfig, variant: str | None = None) -> Path:
 
 def run_synth(cfg: RunConfig):
     """Generate the synthetic dataset and its manifest."""
-    return generate_dataset(_dataset_config(cfg), header_comment=stamp(cfg))
+    return generate_dataset(cfg.dataset_config(str(_work(cfg) / "bundles")), header_comment=stamp(cfg))
 
 
 def run_shape(cfg: RunConfig) -> Path:

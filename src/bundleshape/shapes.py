@@ -66,11 +66,6 @@ class VoxelGrid:
     def __len__(self) -> int:
         return self.indices.shape[0]
 
-    @property
-    def occupied(self) -> frozenset:
-        """Occupied voxels as a set of (i, j, k) tuples."""
-        return frozenset(map(tuple, self.indices))
-
 
 @dataclass(frozen=True)
 class ShapeMeasures:
@@ -89,11 +84,6 @@ class ShapeMeasures:
 
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, f.name) for f in fields(self)], dtype=np.float64)
-
-    @classmethod
-    def from_array(cls, values) -> "ShapeMeasures":
-        vals = np.asarray(values, dtype=np.float64).reshape(10)
-        return cls(*(float(v) for v in vals))
 
 
 MEASURE_NAMES = tuple(f.name for f in fields(ShapeMeasures))

@@ -168,21 +168,41 @@ MANIFEST_FIELDS = list(_MANIFEST_TYPES)
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    """Counts, parameter ranges, split fractions, and the master seed."""
+    """Counts, parameter ranges, split fractions, and the master seed: the
+    [dataset] settings under their key names, declared with their defaults
+    and bounds here only. Bundles not in the train or val split are test."""
 
     out_dir: str
     n_bundles: int = 600
     master_seed: int = 7
-    split_fractions: tuple = (0.70, 0.15, 0.15)
-    family_weights: tuple = (0.4, 0.3, 0.3)  # cylinder, arc, helix
-    length_range: tuple = (40.0, 120.0)
-    tube_radius_range: tuple = (1.5, 5.0)
-    jitter_range: tuple = (0.1, 0.4)
-    points_range: tuple = (40, 100)
-    arc_angle_range: tuple = (0.5, 2.5)
-    helix_angle_range: tuple = (1.0, 3.0)
-    helix_pitch_range: tuple = (30.0, 80.0)
+    train_frac: float = 0.70
+    val_frac: float = 0.15
+    cylinder_weight: float = 0.4
+    arc_weight: float = 0.3
+    helix_weight: float = 0.3
+    length_min: float = 40.0
+    length_max: float = 120.0
+    tube_radius_min: float = 1.5
+    tube_radius_max: float = 5.0
+    jitter_min: float = 0.1
+    jitter_max: float = 0.4
+    points_min: int = 40
+    points_max: int = 100
     streamline_density: float = 4.0  # streamlines per mm^2 of cross-section
+
+    def __post_init__(self):
+        if self.n_bundles < 1:
+            raise ValueError(f"n_bundles must be >= 1, got {self.n_bundles}")
+        if not 0 < self.train_frac < 1 or not 0 < self.val_frac < 1:
+            raise ValueError("split fractions must be in (0, 1)")
+        if self.train_frac + self.val_frac >= 1:
+            raise ValueError("train_frac + val_frac must leave room for a test split")
+
+
+# Swept angle and pitch ranges of the curved families; no setting varies them.
+ARC_ANGLE_RANGE = (0.5, 2.5)
+HELIX_ANGLE_RANGE = (1.0, 3.0)
+HELIX_PITCH_RANGE = (30.0, 80.0)
 
 
 def _lerp(lo: float, hi: float, t) -> np.ndarray:
@@ -207,13 +227,14 @@ def _draw_spec(config: DatasetConfig, index: int, sobol_row: np.ndarray) -> Bund
     bundle_seed = (config.master_seed << 24) + index
     rng = _gen(bundle_seed, _BUNDLE_LEVEL_STREAM)
 
-    fam_cdf = np.cumsum(config.family_weights) / np.sum(config.family_weights)
+    weights = (config.cylinder_weight, config.arc_weight, config.helix_weight)
+    fam_cdf = np.cumsum(weights) / np.sum(weights)
     family = FAMILIES[int(np.searchsorted(fam_cdf, sobol_row[0], side="right"))]
 
-    length = float(_lerp(*config.length_range, sobol_row[1]))
-    tube_radius = float(_lerp(*config.tube_radius_range, sobol_row[2]))
-    jitter = float(_lerp(*config.jitter_range, sobol_row[3]))
-    pps = int(round(_lerp(config.points_range[0], config.points_range[1], sobol_row[4])))
+    length = float(_lerp(config.length_min, config.length_max, sobol_row[1]))
+    tube_radius = float(_lerp(config.tube_radius_min, config.tube_radius_max, sobol_row[2]))
+    jitter = float(_lerp(config.jitter_min, config.jitter_max, sobol_row[3]))
+    pps = int(round(_lerp(config.points_min, config.points_max, sobol_row[4])))
 
     # NoS tracks cross-section area (with noise), so the tabular modality
     # genuinely carries size information.
@@ -223,10 +244,10 @@ def _draw_spec(config: DatasetConfig, index: int, sobol_row: np.ndarray) -> Bund
     angle = 1.0
     pitch = 20.0
     if family == "arc":
-        angle = float(_lerp(*config.arc_angle_range, sobol_row[5]))
+        angle = float(_lerp(*ARC_ANGLE_RANGE, sobol_row[5]))
     elif family == "helix":
-        angle = float(_lerp(*config.helix_angle_range, sobol_row[5]))
-        pitch = float(_lerp(*config.helix_pitch_range, sobol_row[6]))
+        angle = float(_lerp(*HELIX_ANGLE_RANGE, sobol_row[5]))
+        pitch = float(_lerp(*HELIX_PITCH_RANGE, sobol_row[6]))
         max_pitch = 2 * np.pi * length / angle * 0.8
         pitch = min(pitch, max_pitch)
 
@@ -259,8 +280,8 @@ def generate_dataset(config: DatasetConfig, header_comment: str | None = None) -
     table = sobol.random(size)[: config.n_bundles]
 
     n = config.n_bundles
-    n_train = int(n * config.split_fractions[0])
-    n_val = int(n * config.split_fractions[1])
+    n_train = int(n * config.train_frac)
+    n_val = int(n * config.val_frac)
     order = np.random.Generator(np.random.Philox(key=[config.master_seed, 0])).permutation(n)
     split_of = {}
     for rank, idx in enumerate(order):

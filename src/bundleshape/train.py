@@ -17,8 +17,8 @@ import numpy as np
 from . import pca as shape_pca
 from .checkpoint import Checkpoint, TrainConfig
 from .features import extract_tabular, fit_standardizer, sample_points
-from .io import Bundle, read_native, write_csv
-from .net import backward, forward, init_params, paired_loss, uses_tabular
+from .io import read_native, write_csv
+from .net import ShapeMismatch, backward, forward, init_params, paired_loss, uses_tabular
 from .optim import AdamState, adam_step, lr_at
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "load_training_arrays",
     "train",
     "predict_measures",
-    "predict_bundle",
     "write_train_log",
 ]
 
@@ -162,7 +161,12 @@ def predict_measures(ckpt: Checkpoint, points: np.ndarray, tabular_raw: np.ndarr
     output error vs float64) through ``net.forward``'s cache-free path:
     the point encoder goes over chunks of whole clouds and max-pools
     before its last bias and ReLU, so no full-size activation is built.
+    Raises ShapeMismatch for clouds of another size than the model's.
     """
+    if points.ndim == 3 and points.shape[1] != ckpt.config.n_points:
+        raise ShapeMismatch(
+            f"clouds of {points.shape[1]} points, but the model was trained on {ckpt.config.n_points}"
+        )
     tab = None
     if uses_tabular(ckpt.config.variant):
         if ckpt.standardizer is None:
@@ -170,13 +174,6 @@ def predict_measures(ckpt: Checkpoint, points: np.ndarray, tabular_raw: np.ndarr
         tab = ckpt.standardizer.apply_many(tabular_raw)
     outputs = forward(ckpt.params, points, tab, ckpt.config.variant, dtype=np.float32)
     return _measures_from_outputs(ckpt, outputs.astype(np.float64))
-
-
-def predict_bundle(ckpt: Checkpoint, bundle: Bundle, seed: int = 0) -> np.ndarray:
-    """Sample one bundle and predict its ten measures."""
-    pts = sample_points(bundle, ckpt.config.n_points, seed=seed)[None]
-    tab = np.asarray(extract_tabular(bundle), dtype=np.float64)[None]
-    return predict_measures(ckpt, pts, tab)[0]
 
 
 def write_train_log(log, path, header_comment: str | None = None) -> None:

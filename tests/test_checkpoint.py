@@ -87,7 +87,7 @@ class TestFailures:
             with pytest.raises(TruncatedFile):
                 load_checkpoint(blob[:cut])
 
-    @pytest.mark.parametrize("key", ["epochs", "sched_period"])
+    @pytest.mark.parametrize("key", ["epochs", "sched_period", "n_points", "pca_k"])
     def test_config_value_below_one(self, key):
         blob = edited(save_checkpoint(make_checkpoint()), lambda h, _: h["config"].update({key: 0}))
         with pytest.raises(MalformedHeader, match=key):

@@ -82,6 +82,17 @@ class TestExitCodes:
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_predict_refuses_another_cloud_size(self, tiny_run, tmp_path, capsys):
+        cfg = copy_run(tiny_run, tmp_path)
+        assert main(["train", *cfg]) == EXIT_OK
+        ini = tmp_path / "run.ini"
+        ini.write_text(ini.read_text().replace("n_points = 64", "n_points = 512"))
+        capsys.readouterr()
+        assert main(["predict", *cfg]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "512" in err and "64" in err
+        assert not (tmp_path / "run" / "predictions_full.csv").exists()
+
     def test_failed_rerun_keeps_previous_measures(self, tiny_run, tmp_path, capsys):
         root, _ = tiny_run
         shutil.copytree(root / "run" / "bundles", tmp_path / "run" / "bundles")

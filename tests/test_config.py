@@ -1,11 +1,14 @@
 """Run-configuration loading, validation, and hashing."""
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundleshape.checkpoint import TrainConfig
 from bundleshape.config import ConfigError, RunConfig, config_hash, describe_keys, load_config
+from bundleshape.synth import DatasetConfig
 
 
 class TestLoad:
@@ -67,6 +70,10 @@ class TestLoad:
             {"epochs": 0},
             {"sched_period": 0},
             {"sched_period": -200},
+            {"n_points": 0},
+            {"n_points": 2},
+            {"pca_k": 0},
+            {"pca_k": 11},
         ],
     )
     def test_train_settings_refused_as_train_config_refuses_them(self, override):
@@ -76,10 +83,105 @@ class TestLoad:
             load_config(None, overrides=override)
         assert str(config_exc.value) == str(train_exc.value)
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"n_bundles": 0},
+            {"train_frac": 0.9, "val_frac": 0.2},
+            {"train_frac": 0.85, "val_frac": 0.15},
+            {"train_frac": 0.0},
+            {"val_frac": 1.0},
+        ],
+    )
+    def test_dataset_settings_refused_as_dataset_config_refuses_them(self, override, tmp_path):
+        with pytest.raises(ValueError) as dataset_exc:
+            DatasetConfig(out_dir=str(tmp_path / "bundles"), **override)
+        with pytest.raises(ConfigError) as config_exc:
+            load_config(None, overrides=override)
+        assert str(config_exc.value) == str(dataset_exc.value)
+        assert not (tmp_path / "bundles").exists()
+
     def test_train_config_carries_the_train_section(self):
         cfg = load_config(None, overrides={"batch_size": 16, "train_seed": 3, "n_points": 128})
         assert cfg.train_config() == TrainConfig(batch_size=16, seed=3, n_points=128)
         assert cfg.train_config("vanilla").variant == "vanilla"
+
+
+# One non-default value for every stage config field, under its INI section
+# and key; out_dir is set from work_dir, and train_seed sets TrainConfig.seed.
+NON_DEFAULT_KEYS = {
+    "dataset": {
+        "n_bundles": 61,
+        "master_seed": 8,
+        "train_frac": 0.6,
+        "val_frac": 0.2,
+        "cylinder_weight": 0.5,
+        "arc_weight": 0.25,
+        "helix_weight": 0.25,
+        "length_min": 41.0,
+        "length_max": 121.0,
+        "tube_radius_min": 1.6,
+        "tube_radius_max": 5.1,
+        "jitter_min": 0.2,
+        "jitter_max": 0.5,
+        "points_min": 41,
+        "points_max": 101,
+        "streamline_density": 4.5,
+    },
+    "features": {"n_points": 512},
+    "pca": {"pca_k": 4},
+    "train": {
+        "variant": "pca",
+        "batch_size": 16,
+        "epochs": 3,
+        "lr0": 0.001,
+        "sched_period": 100,
+        "sched_gamma": 0.5,
+        "lam_pair": 0.5,
+        "weight_decay": 0.01,
+        "train_seed": 2,
+    },
+}
+FIELD_OF_KEY = {"train_seed": "seed"}
+
+
+def write_every_key(path):
+    lines = ["[paths]", "work_dir = elsewhere", "[shape]", "voxel_size = 0.5"]
+    for section, keys in NON_DEFAULT_KEYS.items():
+        lines += [f"[{section}]", *(f"{key} = {value}" for key, value in keys.items())]
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestStageConfigs:
+    """Every stage config field is a key: set in a file, it reaches the stage
+    config, and the run's default is the stage config's default."""
+
+    def test_every_field_has_a_key(self):
+        keys = {FIELD_OF_KEY.get(k, k) for section in NON_DEFAULT_KEYS.values() for k in section}
+        stage_fields = {f.name for f in fields(TrainConfig)} | {f.name for f in fields(DatasetConfig)}
+        assert keys == stage_fields - {"out_dir"}
+
+    def test_set_key_reaches_its_stage_config(self, tmp_path):
+        write_every_key(tmp_path / "run.ini")
+        cfg = load_config(str(tmp_path / "run.ini"))
+        train, dataset = cfg.train_config(), cfg.dataset_config(out_dir="b")
+        for section, keys in NON_DEFAULT_KEYS.items():
+            stage = dataset if section == "dataset" else train
+            for key, value in keys.items():
+                got = getattr(stage, FIELD_OF_KEY.get(key, key))
+                assert got == value and type(got) is type(value), key
+
+    def test_run_defaults_are_the_stage_defaults(self):
+        run = RunConfig()
+        assert run.train_config() == TrainConfig()
+        assert run.dataset_config(out_dir="b") == DatasetConfig(out_dir="b")
+
+    def test_hashes_are_pinned(self, tmp_path):
+        # config_hash stamps every output file: a renamed key, a moved
+        # section or a changed default shows here.
+        assert config_hash(RunConfig()) == "a383af865201b985"
+        write_every_key(tmp_path / "run.ini")
+        assert config_hash(load_config(str(tmp_path / "run.ini"))) == "81604bb2a5da6024"
 
 
 MALFORMED_CONFIGS = {

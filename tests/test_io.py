@@ -2,6 +2,7 @@
 
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -323,6 +324,14 @@ class TestNative:
             read_native(bytes(blob))
         with pytest.raises(ShortStreamline):
             read_native(b"T2SB\x01" + struct.pack("<II", 1, 1) + b"\x00" * 12)
+
+    def test_signalling_nan_is_a_bundle_error_without_a_warning(self):
+        blob = bytearray(write_native(simple_bundle()))
+        blob[13:17] = struct.pack("<I", 0x7F800001)  # the first x: a signalling NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BundleError):
+                read_native(bytes(blob))
 
     @pytest.mark.parametrize("where", [5, 9], ids=["streamline_count", "point_count"])
     def test_huge_declared_count_allocates_nothing(self, where):

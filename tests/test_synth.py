@@ -143,7 +143,7 @@ class TestDataset:
 
     def test_default_split_fractions_are_70_15_15(self, tmp_path):
         cfg = DatasetConfig(out_dir=str(tmp_path), n_bundles=600)
-        assert cfg.split_fractions == (0.70, 0.15, 0.15)
+        assert (cfg.train_frac, cfg.val_frac) == (0.70, 0.15)
         assert int(600 * 0.70) == 420 and int(600 * 0.15) == 90
 
     def test_manifest_round_trip(self, tmp_path):

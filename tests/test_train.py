@@ -9,9 +9,7 @@ from bundleshape.shapes import compute_measures
 from bundleshape.synth import DatasetConfig, generate_dataset
 from bundleshape.train import (
     load_training_arrays,
-    predict_bundle,
     predict_measures,
-    sample_seed_for,
     train,
     write_train_log,
 )
@@ -87,13 +85,6 @@ class TestTrain:
             predict_measures(ckpt, data.points[idx], data.tabular[idx]),
             predict_measures(loaded, data.points[idx], data.tabular[idx]),
         )
-
-    def test_predict_bundle(self, tiny_data):
-        rows, data = tiny_data
-        ckpt, _ = train(data, tiny_config())
-        b = read_native(open(rows[0].path, "rb").read())
-        out = predict_bundle(ckpt, b, seed=sample_seed_for(5, 0))
-        assert out.shape == (10,)
 
     def test_train_log_csv(self, tiny_data, tmp_path):
         _, data = tiny_data
