@@ -10,8 +10,12 @@ Two on-disk formats are supported:
 It also holds the stamped CSV format that the pipeline stages hand to each
 other (:func:`write_csv`, :func:`read_csv`).
 
-A :class:`Bundle` stores its streamlines ragged (one point array plus row offsets);
-``Bundle.from_streamlines([s0, s1])`` builds one from a list of (n_i, 3) arrays.
+A :class:`Bundle` is its geometry only: ``points`` (one (NoP, 3) array of
+every streamline's points) plus ``offsets`` (the row where each streamline
+starts, and NoP); ``Bundle.from_streamlines([s0, s1])`` builds one from a
+list of (n_i, 3) arrays. Both readers split their count-prefixed streamline
+records in one walk (:func:`_split_records`) that checks every count, and a
+negative count declared in a polydata file is refused as MalformedHeader.
 
 Coordinates are millimeters in the right-anterior-superior (RAS) frame.
 In-memory computation is float64; the native format stores float32, a
@@ -25,7 +29,7 @@ import csv
 import os
 import struct
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -97,9 +101,6 @@ class Bundle:
 
     points: np.ndarray
     offsets: np.ndarray
-    subject_id: str = ""
-    cluster_id: str = ""
-    tract_label: str | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64).view()
@@ -130,13 +131,13 @@ class Bundle:
             object.__setattr__(self, name, arr)
 
     @classmethod
-    def from_streamlines(cls, streamlines, **ids) -> "Bundle":
-        """Bundle of a sequence of (n_i, 3) arrays; ``ids`` set the other fields."""
+    def from_streamlines(cls, streamlines) -> "Bundle":
+        """Bundle of a sequence of (n_i, 3) arrays."""
         arrays = [np.asarray(s, dtype=np.float64) for s in streamlines]
         if any(a.ndim != 2 or a.shape[1] != 3 for a in arrays):
             raise BundleError("every streamline must be an (n, 3) array")
         offsets = np.cumsum([0] + [a.shape[0] for a in arrays], dtype=np.int64)
-        return cls(np.concatenate([np.empty((0, 3)), *arrays]), offsets, **ids)
+        return cls(np.concatenate([np.empty((0, 3)), *arrays]), offsets)
 
     @property
     def streamlines(self) -> tuple[np.ndarray, ...]:
@@ -155,8 +156,32 @@ class Bundle:
         """All points of all streamlines: ``points`` itself, not a copy."""
         return self.points
 
-    def translated(self, offset) -> "Bundle":
-        return replace(self, points=self.points + np.asarray(offset, dtype=np.float64).reshape(3))
+
+def _split_records(words: np.ndarray, n_records: int, width: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Split ``n_records`` count-prefixed streamline records off ``words``.
+
+    A record is a point count k, then k * width words. Returns the words
+    without the counts, the offsets (0, k_0, k_0 + k_1, ...) and the index
+    past the last record, which the caller compares with its own end (it
+    lies past ``words`` when the last record is cut short). Raises
+    ShortStreamline for a count below 2 and TruncatedFile when fewer than
+    ``n_records`` records start inside ``words``. Counts are checked after
+    the walk, and nothing is sized from one before that.
+    """
+    n_words = words.shape[0]
+    if n_records > n_words:  # each record takes at least its count word
+        raise TruncatedFile(f"{n_records} records declared in {n_words} words")
+    heads, pos = [], 0  # word index of each count; each fixes where the next is
+    while len(heads) < n_records and 0 <= pos < n_words:  # a negative count steps back
+        heads.append(pos)
+        pos += 1 + width * int(words[pos])
+    counts = words[heads]
+    if (counts < 2).any():
+        raise ShortStreamline(f"streamline of {counts.min()} points")
+    if len(heads) < n_records:
+        raise TruncatedFile(f"words end inside streamline {len(heads)} of {n_records}")
+    offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    return np.delete(words[:pos], heads), offsets, pos
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +191,13 @@ class Bundle:
 _SKIPPABLE_BLOCKS = ("POLYGONS", "VERTS", "TRIANGLE_STRIPS", "CELL_DATA", "POINT_DATA")
 
 
-def parse_polydata(data: bytes | str, subject_id: str = "", cluster_id: str = "") -> Bundle:
+def parse_polydata(data: bytes | str) -> Bundle:
     """Parse the supported ASCII polydata subset into a Bundle.
 
     Only ``POINTS`` and ``LINES`` blocks are interpreted; trailing
     attribute blocks (POLYGONS, CELL_DATA, POINT_DATA, ...) are skipped.
+    A declared count that is negative or not an integer is a
+    MalformedHeader.
     """
     if isinstance(data, bytes):
         try:
@@ -180,8 +207,7 @@ def parse_polydata(data: bytes | str, subject_id: str = "", cluster_id: str = ""
     else:
         text = data
 
-    tokens_by_line = [ln.split() for ln in text.splitlines()]
-    lines = [ln for ln in text.splitlines()]
+    lines = text.splitlines()
     if len(lines) < 4:
         raise TruncatedFile("fewer than 4 header lines")
     if not lines[0].startswith("# vtk DataFile Version"):
@@ -189,88 +215,64 @@ def parse_polydata(data: bytes | str, subject_id: str = "", cluster_id: str = ""
     # lines[1] is a free-form title
     if lines[2].strip().upper() != "ASCII":
         raise MalformedHeader(f"expected ASCII encoding, got {lines[2]!r}")
-    if tokens_by_line[3][:2] != ["DATASET", "POLYDATA"]:
+    if lines[3].split()[:2] != ["DATASET", "POLYDATA"]:
         raise MalformedHeader(f"expected DATASET POLYDATA, got {lines[3]!r}")
 
-    # Flatten the remainder into a token stream; block keywords delimit it.
-    flat = [tok for toks in tokens_by_line[4:] for tok in toks]
-
+    # One token list for the rest of the file: a keyword, its two header
+    # tokens, then the block's size words.
+    flat = [tok for ln in lines[4:] for tok in ln.split()]
+    points = indices = None
     pos = 0
-
-    def next_token() -> str:
-        nonlocal pos
-        if pos >= len(flat):
-            raise TruncatedFile("unexpected end of file")
-        tok = flat[pos]
-        pos += 1
-        return tok
-
-    points: np.ndarray | None = None
-    polylines: list[np.ndarray] | None = None
-
     while pos < len(flat):
-        keyword = next_token().upper()
-        if keyword == "POINTS":
-            n = _parse_int(next_token(), "POINTS count")
-            dtype_kw = next_token().lower()
-            if dtype_kw not in ("float", "double"):
-                raise MalformedHeader(f"unsupported POINTS type {dtype_kw!r}")
-            need = 3 * n
-            if pos + need > len(flat):
-                raise TruncatedFile("POINTS block truncated")
-            try:
-                coords = np.array(flat[pos : pos + need], dtype=np.float64)
-            except ValueError as exc:
-                raise MalformedHeader(f"non-numeric POINTS entry: {exc}") from None
-            pos += need
-            points = coords.reshape(n, 3)
-        elif keyword == "LINES":
-            m = _parse_int(next_token(), "LINES count")
-            total = _parse_int(next_token(), "LINES size")
-            if pos + total > len(flat):
-                raise TruncatedFile("LINES block truncated")
-            polylines = []
-            start = pos
-            for _ in range(m):
-                k = _parse_int(next_token(), "polyline length")
-                if k < 2:
-                    raise ShortStreamline(f"polyline of length {k}")
-                if pos + k > len(flat):
-                    raise TruncatedFile("polyline record truncated")
-                try:
-                    idx = np.array(flat[pos : pos + k], dtype=np.int64)
-                except ValueError as exc:
-                    raise MalformedHeader(f"non-integer line index: {exc}") from None
-                pos += k
-                polylines.append(idx)
-            if pos - start != total:
-                raise MalformedHeader(f"LINES size mismatch: declared {total}, consumed {pos - start}")
-        elif keyword in _SKIPPABLE_BLOCKS:
+        keyword = flat[pos].upper()
+        if keyword in _SKIPPABLE_BLOCKS:
             # Attribute blocks commonly follow; skip the rest of the file.
             warnings.warn(f"skipping unsupported block {keyword}", stacklevel=2)
             break
-        else:
+        if keyword not in ("POINTS", "LINES"):
             raise MalformedHeader(f"unsupported keyword {keyword!r}")
+        if pos + 3 > len(flat):
+            raise TruncatedFile(f"file ends inside the {keyword} header")
+        count, second = _parse_count(flat[pos + 1], f"{keyword} count"), flat[pos + 2]
+        if keyword == "POINTS":
+            if second.lower() not in ("float", "double"):
+                raise MalformedHeader(f"unsupported POINTS type {second!r}")
+            size, dtype = 3 * count, np.float64
+        else:
+            size, dtype = _parse_count(second, "LINES size"), np.int64
+        pos += 3
+        if pos + size > len(flat):
+            raise TruncatedFile(f"{keyword} block truncated")
+        try:
+            block = np.array(flat[pos : pos + size], dtype=dtype)
+        except (ValueError, OverflowError) as exc:
+            raise MalformedHeader(f"bad {keyword} entry: {exc}") from None
+        pos += size
+        if keyword == "POINTS":
+            points = block.reshape(count, 3)
+        else:
+            indices, offsets, end = _split_records(block, count, 1)
+            if end != size:
+                raise MalformedHeader(f"LINES size mismatch: declared {size}, the records take {end}")
 
     if points is None:
         raise TruncatedFile("missing POINTS block")
-    if polylines is None:
+    if indices is None:
         raise TruncatedFile("missing LINES block")
-
-    n = points.shape[0]
-    idx = np.concatenate([np.empty(0, dtype=np.int64), *polylines])
-    bad = (idx < 0) | (idx >= n)
+    bad = (indices < 0) | (indices >= points.shape[0])
     if bad.any():
-        raise IndexOutOfRange(f"point index {int(idx[bad][0])} outside [0, {n})")
-    offsets = np.cumsum([0] + [p.shape[0] for p in polylines], dtype=np.int64)
-    return Bundle(points[idx], offsets, subject_id=subject_id, cluster_id=cluster_id)
+        raise IndexOutOfRange(f"point index {int(indices[bad][0])} outside [0, {points.shape[0]})")
+    return Bundle(points[indices], offsets)
 
 
-def _parse_int(tok: str, what: str) -> int:
+def _parse_count(tok: str, what: str) -> int:
     try:
-        return int(tok)
+        count = int(tok)
     except ValueError:
         raise MalformedHeader(f"expected integer for {what}, got {tok!r}") from None
+    if count < 0:
+        raise MalformedHeader(f"negative {what} {count}")
+    return count
 
 
 def write_polydata(bundle: Bundle, title: str = "bundleshape streamlines") -> bytes:
@@ -280,13 +282,17 @@ def write_polydata(bundle: Bundle, title: str = "bundleshape streamlines") -> by
     reproduces them to well under 1e-6 mm at anatomical scales.
     """
     nop, nos = bundle.n_points, bundle.n_streamlines
-    out = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET POLYDATA", f"POINTS {nop} float"]
-    for p in bundle.points:
-        out.append(f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g}")
-    out.append(f"LINES {nos} {nop + nos}")
     off = bundle.offsets.tolist()
-    for a, b in zip(off[:-1], off[1:]):
-        out.append(" ".join([str(b - a)] + [str(i) for i in range(a, b)]))
+    out = [
+        "# vtk DataFile Version 3.0",
+        title,
+        "ASCII",
+        "DATASET POLYDATA",
+        f"POINTS {nop} float",
+        *["%.9g %.9g %.9g" % tuple(p) for p in bundle.points.tolist()],
+        f"LINES {nos} {nop + nos}",
+        *[" ".join(map(str, [b - a, *range(a, b)])) for a, b in zip(off[:-1], off[1:])],
+    ]
     return ("\n".join(out) + "\n").encode("ascii")
 
 
@@ -301,13 +307,12 @@ def write_native(bundle: Bundle) -> bytes:
     return NATIVE_MAGIC + struct.pack("<BI", NATIVE_VERSION, bundle.n_streamlines) + words.tobytes()
 
 
-def read_native(data: bytes, subject_id: str = "", cluster_id: str = "") -> Bundle:
+def read_native(data: bytes) -> Bundle:
     """Read the native binary format; bit-exact at 32-bit precision.
 
     After the header (magic, version, NoS) come little-endian 4-byte words:
-    per streamline its point count k, then its 3k float32 coordinates. Each
-    count is checked against the words left before anything is sized from
-    it, and bytes after the last streamline are an error.
+    per streamline its point count k, then its 3k float32 coordinates, split
+    by :func:`_split_records`. Bytes after the last streamline are an error.
     """
     if len(data) < 4:
         raise TruncatedFile("shorter than magic")
@@ -319,26 +324,17 @@ def read_native(data: bytes, subject_id: str = "", cluster_id: str = "") -> Bund
     if version != NATIVE_VERSION:
         raise BadVersion(f"unsupported version {version}")
     (nos,) = struct.unpack_from("<I", data, 5)
-    words = np.frombuffer(data, dtype="<u4", count=(len(data) - 9) // 4, offset=9)
-    n_words = words.shape[0]
     if nos == 0:
         raise TruncatedFile("bundle with zero streamlines")
-    heads, pos = [], 0  # word index of each point count; each fixes where the next is
-    while len(heads) < nos and pos < n_words:
-        heads.append(pos)
-        pos += 1 + 3 * int(words[pos])
-    if len(heads) < nos or pos > n_words:
-        raise TruncatedFile(f"file ends inside streamline {len(heads)} of {nos}")
-    if 9 + 4 * pos != len(data):
-        raise MalformedHeader(f"{len(data) - 9 - 4 * pos} trailing bytes after the last streamline")
-    counts = words[heads]
-    if (counts < 2).any():
-        raise ShortStreamline(f"streamline of {counts.min()} points")
-    points = np.delete(words[:pos], heads).view("<f4").reshape(-1, 3)
-    offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    words = np.frombuffer(data, dtype="<u4", count=(len(data) - 9) // 4, offset=9)
+    coords, offsets, end = _split_records(words, nos, 3)
+    if end > words.shape[0]:
+        raise TruncatedFile(f"file ends inside streamline {nos - 1} of {nos}")
+    if 9 + 4 * end != len(data):
+        raise MalformedHeader(f"{len(data) - 9 - 4 * end} trailing bytes after the last streamline")
     with np.errstate(invalid="ignore"):  # a signalling NaN warns when cast; Bundle refuses it
-        points = points.astype(np.float64)
-    return Bundle(points, offsets, subject_id=subject_id, cluster_id=cluster_id)
+        points = coords.view("<f4").reshape(-1, 3).astype(np.float64)
+    return Bundle(points, offsets)
 
 
 @contextlib.contextmanager

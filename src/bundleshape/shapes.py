@@ -3,10 +3,11 @@
 Measures: length, span, curl, elongation, diameter, volume, total surface
 area, total radius of end regions, total area of end regions, and
 irregularity. Volume and surface quantities come from a dense boolean
-occupancy grid over the supersampled streamlines; everything else is
-computed directly from coordinates. Samples are built one coordinate axis
-at a time, as contiguous 1-D columns of voxel indices, and mark the grid
-through one flat index. The grid is bounded: a bundle whose voxelization
+occupancy grid over the supersampled streamlines, and each end region's
+area from one over its endpoints; everything else is computed directly
+from coordinates. Samples are built one coordinate axis at a time, as
+contiguous 1-D columns of voxel indices, and mark the grid through one
+flat index. The grid is bounded: a bundle whose voxelization
 would need more than MAX_SAMPLES samples or MAX_GRID_CELLS cells raises
 GridTooLarge instead of exhausting memory.
 """
@@ -27,7 +28,6 @@ __all__ = [
     "MEASURE_NAMES",
     "align_orientations",
     "voxelize",
-    "voxelize_points",
     "count_surface_voxels",
     "compute_measures",
 ]
@@ -218,17 +218,6 @@ def voxelize(bundle: Bundle, voxel_size: float = 1.0) -> VoxelGrid:
     return VoxelGrid(voxel_size=float(voxel_size), origin=origin, indices=np.argwhere(grid) + lo)
 
 
-def voxelize_points(points: np.ndarray, origin: np.ndarray, voxel_size: float) -> np.ndarray:
-    """Unique voxel indices of a raw point set on the given grid, in lexicographic order."""
-    idx = np.floor((np.asarray(points, dtype=np.float64) - origin) / voxel_size).astype(np.int64)
-    # One int64 key per index over the points' own box, in lexicographic order.
-    rel, shape = idx - idx.min(axis=0), np.ptp(idx, axis=0) + 1
-    if not np.prod(shape, dtype=np.float64) < 2.0**63:
-        raise GridTooLarge(f"a box of {shape.tolist()} voxels has too many cells for int64 keys")
-    _, first = np.unique((rel[:, 0] * shape[1] + rel[:, 1]) * shape[2] + rel[:, 2], return_index=True)
-    return idx[first]
-
-
 def count_surface_voxels(indices: np.ndarray) -> int:
     """Number of occupied voxels with at least one unoccupied 6-neighbor.
 
@@ -282,7 +271,8 @@ def compute_measures(bundle: Bundle, voxel_size: float = 1.0) -> ShapeMeasures:
     for ends in (firsts, lasts):
         centroid = ends.mean(axis=0)
         total_radius += float(np.linalg.norm(ends - centroid, axis=1).mean())
-        total_end_area += voxelize_points(ends, origin, v).shape[0] * v ** 2
+        cells = np.floor((ends - origin) / v)  # the voxel of each endpoint, as on the bundle grid
+        total_end_area += int(np.count_nonzero(_occupancy(cells.T)[0])) * v ** 2
 
     irregularity = surface_area / (np.pi * diameter * length)
 

@@ -117,7 +117,7 @@ def _centerline_frame(spec: BundleSpec, u: np.ndarray):
     return c, n, b
 
 
-def generate_bundle(spec: BundleSpec, subject_id: str = "synth", cluster_id: str = "") -> Bundle:
+def generate_bundle(spec: BundleSpec) -> Bundle:
     """Generate the bundle described by a spec; fully determined by spec.seed."""
     u = np.linspace(0.0, 1.0, spec.points_per_streamline)
     center, normal, binormal = _centerline_frame(spec, u)
@@ -140,7 +140,7 @@ def generate_bundle(spec: BundleSpec, subject_id: str = "synth", cluster_id: str
         jitter = _gen(spec.seed, _JITTER_STREAM)
         pts = pts + jitter.normal(0.0, spec.jitter_sd, size=pts.shape)
     pts = pts @ rot.T + trans
-    return Bundle.from_streamlines(pts, subject_id=subject_id, cluster_id=cluster_id)
+    return Bundle.from_streamlines(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +197,16 @@ class DatasetConfig:
             raise ValueError("split fractions must be in (0, 1)")
         if self.train_frac + self.val_frac >= 1:
             raise ValueError("train_frac + val_frac must leave room for a test split")
+        weights = (self.cylinder_weight, self.arc_weight, self.helix_weight)
+        if not (all(w >= 0 for w in weights) and 0 < sum(weights) < np.inf):
+            raise ValueError("family weights must be >= 0 with a positive, finite sum")
+        for name in ("length", "tube_radius", "jitter", "points"):
+            if not getattr(self, f"{name}_min") <= getattr(self, f"{name}_max"):
+                raise ValueError(f"{name}_min must be <= {name}_max")
+        if self.points_min < 2:
+            raise ValueError(f"points_min must be >= 2, got {self.points_min}")
+        if not (self.tube_radius_min >= 0 and self.jitter_min >= 0):
+            raise ValueError("tube_radius_min and jitter_min must be >= 0")
 
 
 # Swept angle and pitch ranges of the curved families; no setting varies them.
@@ -295,9 +305,8 @@ def generate_dataset(config: DatasetConfig, header_comment: str | None = None) -
     rows = []
     for i in range(n):
         spec = _draw_spec(config, i, table[i])
-        bundle = generate_bundle(spec, subject_id=f"synth{config.master_seed}", cluster_id=f"b{i:05d}")
         path = out / f"bundle_{i:05d}.t2sb"
-        path.write_bytes(write_native(bundle))
+        path.write_bytes(write_native(generate_bundle(spec)))
         rows.append(
             ManifestRow(
                 path=str(path),

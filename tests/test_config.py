@@ -91,6 +91,17 @@ class TestLoad:
             {"train_frac": 0.85, "val_frac": 0.15},
             {"train_frac": 0.0},
             {"val_frac": 1.0},
+            {"cylinder_weight": 0.0, "arc_weight": 0.0, "helix_weight": 0.0},
+            {"arc_weight": -0.1},
+            {"helix_weight": float("nan")},
+            {"points_min": 1, "points_max": 1},
+            {"points_min": 101},
+            {"length_min": 120.0, "length_max": 40.0},
+            {"tube_radius_min": 6.0},
+            {"jitter_max": 0.05},
+            {"tube_radius_min": -1.0, "tube_radius_max": -0.5},
+            {"tube_radius_min": -1.0},
+            {"jitter_min": -0.1},
         ],
     )
     def test_dataset_settings_refused_as_dataset_config_refuses_them(self, override, tmp_path):

@@ -49,7 +49,7 @@ class TestSamplePoints:
     def test_translation_invariance(self):
         b = bundle_with(200)
         p1 = sample_points(b, 64, seed=3)
-        p2 = sample_points(b.translated([10.0, -5.0, 2.0]), 64, seed=3)
+        p2 = sample_points(Bundle(b.points + [10.0, -5.0, 2.0], b.offsets), 64, seed=3)
         np.testing.assert_allclose(p1, p2, atol=1e-9)
 
     def test_bad_n(self):

@@ -1,6 +1,7 @@
 """Bundle data model and file format tests."""
 
 import struct
+import time
 import tracemalloc
 import warnings
 
@@ -34,10 +35,11 @@ def simple_bundle():
         (
             np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.5, 0.0]]),
             np.array([[0.0, 1.0, 0.0], [2.0, 1.0, 0.25]]),
-        ),
-        subject_id="s1",
-        cluster_id="c1",
+        )
     )
+
+
+POLYDATA_HEADER = "# vtk DataFile Version 3.0\nt\nASCII\nDATASET POLYDATA\n"
 
 
 def reference_accepts(pts, offsets):
@@ -162,11 +164,6 @@ class TestBundle:
             assert_arc_length_check_as_reference(pts, offsets)
         assert 60 < accepted < 240  # both outcomes are well represented
 
-    def test_translated(self):
-        b = simple_bundle().translated([1.0, -2.0, 3.0])
-        np.testing.assert_allclose(b.streamlines[0][0], [1.0, -2.0, 3.0])
-        assert b.subject_id == "s1"
-
 
 class TestPolydata:
     def test_round_trip(self):
@@ -283,6 +280,62 @@ class TestPolydata:
     def test_fuzz_text_never_crash(self, text):
         try:
             b = parse_polydata(text)
+        except (BundleIOError, BundleError):
+            return
+        assert isinstance(b, Bundle)
+
+    def test_written_bytes_are_pinned(self):
+        assert write_polydata(simple_bundle()) == (
+            b"# vtk DataFile Version 3.0\nbundleshape streamlines\nASCII\nDATASET POLYDATA\n"
+            b"POINTS 5 float\n0 0 0\n1 0 0\n2 0.5 0\n0 1 0\n2 1 0.25\n"
+            b"LINES 2 7\n3 0 1 2\n2 3 4\n"
+        )
+
+    @pytest.mark.parametrize(
+        "body, error, match",
+        [
+            ("POINTS -1 float\n", MalformedHeader, "negative POINTS count"),
+            ("POINTS -2 float\n0 0 0\n", MalformedHeader, "negative POINTS count"),
+            ("POINTS 2 float\n0 0 0 1 1 1\nLINES -1 3\n2 0 1\n", MalformedHeader, "negative LINES count"),
+            ("POINTS 2 float\n0 0 0 1 1 1\nLINES 1 -3\n2 0 1\n", MalformedHeader, "negative LINES size"),
+            ("POINTS 2 float\n0 0 0 1 1 1\nLINES 2 3\n-1 0 1\n", ShortStreamline, "-1 points"),
+            ("POINTS 2 float\n0 0 0 1 1 1\nLINES 2 4\n-7 0 1 1\n", ShortStreamline, "-7 points"),
+            ("POINTS 2 float\n0 0 0 1 1 1\nLINES 1 3\n2 0 99999999999999999999\n", MalformedHeader, "LINES entry"),
+        ],
+        ids=["points", "points_with_data", "lines_count", "lines_size", "record", "record_steps_back", "index_past_int64"],
+    )
+    def test_bad_counts_past_the_header(self, body, error, match):
+        start = time.perf_counter()
+        with pytest.raises(error, match=match):
+            parse_polydata(POLYDATA_HEADER + body)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.filterwarnings("ignore:skipping unsupported block")
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["POINTS", "LINES", "CELL_DATA"]),
+                st.integers(-3, 6).map(str),
+                st.one_of(st.just("float"), st.integers(-3, 12).map(str)),
+                st.lists(
+                    st.one_of(
+                        st.sampled_from(["POINTS", "LINES", "float"]),
+                        st.integers(-3, 6).map(str),
+                        st.floats(-5.0, 5.0).map(str),
+                    ),
+                    max_size=12,
+                ),
+            ),
+            max_size=4,
+        )
+    )
+    def test_fuzz_body_never_crash(self, blocks):
+        """Blocks of a keyword, two small header tokens and a few words after
+        a valid header reach the counts and records, not just the header."""
+        body = "\n".join(" ".join([keyword, *head, *words]) for keyword, *head, words in blocks)
+        try:
+            b = parse_polydata(POLYDATA_HEADER + body)
         except (BundleIOError, BundleError):
             return
         assert isinstance(b, Bundle)

@@ -15,7 +15,6 @@ from bundleshape.shapes import (
     _segments,
     count_surface_voxels,
     voxelize,
-    voxelize_points,
 )
 
 from naive_oracle import naive_measures, naive_voxel_indices
@@ -80,7 +79,7 @@ class TestInvariances:
             b = random_bundle(rng)
             shift = rng.uniform(-200, 200, size=3)
             m1 = compute_measures(b, voxel_size=1.0).as_array()
-            m2 = compute_measures(b.translated(shift), voxel_size=1.0).as_array()
+            m2 = compute_measures(Bundle(b.points + shift, b.offsets), voxel_size=1.0).as_array()
             np.testing.assert_allclose(m1, m2, rtol=1e-6, atol=1e-6)
 
     def test_streamline_order_permutation_invariance(self):
@@ -176,18 +175,6 @@ class TestRaggedReductions:
             seg_len = _segments(b.points, off)[2]
             slices = [seg_len[off[j] : off[j + 1] - 1].sum() for j in range(b.n_streamlines)]
             np.testing.assert_array_equal(_arc_lengths(seg_len, off), slices)
-
-    def test_end_voxels_equal_unique_rows(self):
-        rng = np.random.default_rng(4)
-        for v in (0.3, 1.0, 2.5):
-            pts = rng.normal(size=(300, 3)) * rng.uniform(0.5, 20.0)
-            expected = np.unique(np.floor((pts + 3.0) / v).astype(np.int64), axis=0)
-            np.testing.assert_array_equal(voxelize_points(pts, np.array([-3.0] * 3), v), expected)
-
-    def test_end_voxel_keys_past_int64(self):
-        pts = np.array([[0.0, 0.0, 0.0], [1e7, 1e7, 1e7]])
-        with pytest.raises(GridTooLarge):
-            voxelize_points(pts, np.zeros(3), 1e-3)
 
     def test_overflowing_volume_names_voxel_size(self):
         # (1e120 mm)^3 and 2 * (5e102 mm)^3 exceed the largest float.
