@@ -5,11 +5,11 @@ area, total radius of end regions, total area of end regions, and
 irregularity. Volume and surface quantities come from a dense boolean
 occupancy grid over the supersampled streamlines, and each end region's
 area from one over its endpoints; everything else is computed directly
-from coordinates. Samples are built one coordinate axis at a time, as
-contiguous 1-D columns of voxel indices, and mark the grid through one
-flat index. The grid is bounded: a bundle whose voxelization
-would need more than MAX_SAMPLES samples or MAX_GRID_CELLS cells raises
-GridTooLarge instead of exhausting memory.
+from coordinates. Samples are gathered one coordinate axis at a time,
+straight into contiguous 1-D columns of voxel indices, and mark the grid
+through one flat index built in one buffer. The grid is bounded: a bundle
+whose voxelization would need more than MAX_SAMPLES samples or
+MAX_GRID_CELLS cells raises GridTooLarge instead of exhausting memory.
 """
 
 from __future__ import annotations
@@ -34,11 +34,12 @@ __all__ = [
 
 SPAN_EPS = 1e-6  # mm; spans below this are treated as degenerate
 
-# Memory bounds of one voxelization: each supersample holds ~48 bytes at the
+# Memory bounds of one voxelization: each supersample holds 48 bytes at the
 # peak of sampling (three coordinate columns, segment id, step fraction, one
-# temporary; 8 bytes each), each grid cell ~3 bytes while surfaces are
-# counted. The largest bundle of the default dataset at 1 mm needs ~9e4
-# samples and ~4e5 cells; an axis of more than 2**21 cells must still fit.
+# gather buffer; 8 bytes each), each grid cell ~3 bytes while surfaces are
+# counted; compute_measures peaks at 55-61 bytes per sample in all. The
+# largest bundle of the default dataset at 1 mm needs ~9e4 samples and ~4e5
+# cells; an axis of more than 2**21 cells must still fit.
 MAX_SAMPLES = 1 << 23
 MAX_GRID_CELLS = 1 << 26
 
@@ -151,7 +152,13 @@ def _occupancy(cols) -> tuple[np.ndarray, np.ndarray]:
     if not cells <= MAX_GRID_CELLS:
         raise GridTooLarge(f"{cells:.3g} grid cells exceed {MAX_GRID_CELLS}; use a larger voxel_size")
     i, j, k = cols
-    flat = ((i - lo[0]) * shape[1] + (j - lo[1])) * shape[2] + (k - lo[2])  # exact below MAX_GRID_CELLS
+    flat = np.subtract(i, lo[0])  # ((i - lo0) * s1 + (j - lo1)) * s2 + (k - lo2), exact below MAX_GRID_CELLS
+    flat *= shape[1]
+    tmp = np.subtract(j, lo[1])
+    flat += tmp
+    flat *= shape[2]
+    flat += np.subtract(k, lo[2], out=tmp)
+    del tmp
     grid = np.zeros(int(cells), dtype=bool)
     grid[flat.astype(np.intp, copy=False)] = True
     return grid.reshape(shape.astype(np.intp)), lo.astype(np.int64)
@@ -173,23 +180,24 @@ def _sample_grid(cat: np.ndarray, off: np.ndarray, segments: tuple, voxel_size: 
     n_samples = float(steps.sum()) + n_first
     if not n_samples <= MAX_SAMPLES:
         raise GridTooLarge(f"{n_samples:.3g} samples exceed {MAX_SAMPLES}; use a larger voxel_size")
-    counts = steps.astype(np.int64)
-    seg_id = np.repeat(np.arange(counts.shape[0]), counts)
-    within = np.arange(1, seg_id.shape[0] + 1) - (np.cumsum(counts) - counts).take(seg_id)
-    t = within / counts.take(seg_id)  # step fractions j / count, j = 1..count
-    del within
-    origin = cat.min(axis=0)
+    seg_id = np.repeat(np.arange(steps.shape[0]), steps.astype(np.int64))
+    # mode="raise" would buffer every gather's `out`; seg_id is in range by construction.
+    tmp = np.empty(seg_id.shape[0])
+    t = np.arange(1.0, seg_id.shape[0] + 1)  # integers below 2**53: exact in float64
+    t -= np.take(np.cumsum(steps) - steps, seg_id, out=tmp, mode="clip")
+    t /= np.take(steps, seg_id, out=tmp, mode="clip")  # step fractions j / count, j = 1..count
+    origin = np.array([cat[:, a].min() for a in range(3)])  # ~10x faster than cat.min(axis=0)
     cols = []
     for a in range(3):
         x = np.empty(n_first + t.shape[0])
         x[:n_first] = cat[off[:-1], a]
-        samples = np.take(seg[:, a], seg_id, out=x[n_first:])
+        samples = np.take(seg[:, a], seg_id, out=x[n_first:], mode="clip")
         samples *= t
-        samples += base[:, a].take(seg_id)
+        samples += np.take(base[:, a], seg_id, out=tmp, mode="clip")
         x -= origin[a]
         x /= voxel_size
         cols.append(np.floor(x, out=x))
-    del seg_id, t
+    del seg_id, t, tmp
     grid, lo = _occupancy(cols)
     return grid, lo, origin
 
@@ -224,6 +232,8 @@ def count_surface_voxels(indices: np.ndarray) -> int:
     Repeated indices name the same voxel and count once.
     """
     idx = np.asarray(indices, dtype=np.int64)
+    if idx.ndim != 2 or idx.shape[1] != 3:
+        raise ValueError(f"indices must have shape (n, 3), got {idx.shape}")
     if idx.shape[0] == 0:
         return 0
     return _surface_count(_occupancy(idx.T)[0])

@@ -1,11 +1,14 @@
 """Shape oracle tests: analytic fixtures, invariances, brute-force equality."""
 
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bundleshape.io import Bundle
+from bundleshape import synth
+from bundleshape.io import Bundle, read_native
 from bundleshape.shapes import (
     DegenerateSpan,
     GridTooLarge,
@@ -144,6 +147,19 @@ class TestVoxelize:
         # A repeated index is one voxel.
         assert count_surface_voxels([[0, 0, 0], [0, 0, 0]]) == 1
 
+    @pytest.mark.parametrize("shape", [(4, 2), (5,), (2, 3, 1)])
+    def test_surface_count_refuses_other_shapes(self, shape):
+        with pytest.raises(ValueError, match=r"\(n, 3\), got " + re.escape(str(shape))):
+            count_surface_voxels(np.zeros(shape, dtype=np.int64))
+
+    def test_surface_count_leaves_its_input_unchanged(self):
+        # An int64 (n, 3) array is used as is, not copied, so a write into
+        # its columns would show here.
+        idx = np.random.default_rng(3).integers(-5, 5, size=(200, 3))
+        before = idx.tobytes()
+        count_surface_voxels(idx)
+        assert idx.tobytes() == before
+
     def test_axis_longer_than_2_pow_21_cells(self):
         n = (1 << 21) + 5
         grid = voxelize(Bundle.from_streamlines((np.array([[0.25, 0.5, 0.5], [n - 0.75, 0.5, 0.5]]),)), 1.0)
@@ -247,3 +263,16 @@ class TestBruteForce:
                 np.testing.assert_array_equal(fast, slow)
                 np.testing.assert_array_equal(grid.indices, np.unique(naive_voxel_indices(b, v), axis=0))
                 checked += 1
+
+    def test_bit_exact_on_synthetic_families(self, tmp_path):
+        """The two smallest bundles of each generator family of a seed-7
+        subject, the kind of data the benchmark's oracle workload runs."""
+        cfg = synth.DatasetConfig(out_dir=str(tmp_path), n_bundles=73, master_seed=7)
+        rows = synth.generate_dataset(cfg)
+        bundles = [read_native(Path(r.path).read_bytes()) for r in rows]
+        for family in synth.FAMILIES:
+            idx = [i for i, r in enumerate(rows) if r.family == family]
+            for i in sorted(idx, key=lambda i: bundles[i].n_points)[:2]:
+                for v in (0.7, 1.0):
+                    fast = compute_measures(bundles[i], v).as_array()
+                    np.testing.assert_array_equal(fast, naive_measures(bundles[i], v).as_array())
