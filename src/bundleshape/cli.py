@@ -22,6 +22,13 @@ EXIT_NUMERIC = 4
 GRADCHECK_TOL = 1e-4
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bundleshape",
@@ -57,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also merge all available per-variant reports into combined tables",
     )
     p = add("gradcheck", "finite-difference gradient verification")
-    p.add_argument("--probes", type=int, default=120)
+    p.add_argument("--probes", type=_at_least_one, default=120)
     add("bench", "per-subject-equivalent timing of oracle and model", variant=True)
     return parser
 

@@ -3,7 +3,9 @@
 Two on-disk formats are supported:
 
 * a subset of legacy ASCII polydata (``DATASET POLYDATA`` with ``POINTS``
-  and ``LINES`` blocks), the common interchange format for tractography;
+  and ``LINES`` blocks), the common interchange format for tractography.
+  Each block's keyword opens a line, and one ``np.fromstring`` call reads
+  the block's numbers, so parsing peaks at a small multiple of the file;
 * a compact native binary format (magic ``T2SB``) storing 32-bit
   little-endian coordinates.
 
@@ -26,7 +28,9 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import os
+import re
 import struct
 import warnings
 from dataclasses import dataclass
@@ -189,76 +193,75 @@ def _split_records(words: np.ndarray, n_records: int, width: int) -> tuple[np.nd
 
 
 _SKIPPABLE_BLOCKS = ("POLYGONS", "VERTS", "TRIANGLE_STRIPS", "CELL_DATA", "POINT_DATA")
+_HEADER = re.compile(rb"(.*)\n(.*)\n(.*)\n(?!\Z)(.*)")  # four lines, each without its newline
+_BLOCK_HEAD = re.compile(rb"\n\s*([A-Za-z_]\S*)(?:\s+(\S+)\s+(\S+))?")  # a line's keyword, two tokens
+_BARE_SIGN = re.compile(rb"[-+](?![0-9])")  # NumPy reads a lone sign as the integer 0
+_INT64 = np.iinfo(np.int64)  # NumPy saturates an integer past int64 to one of its ends
 
 
 def parse_polydata(data: bytes | str) -> Bundle:
     """Parse the supported ASCII polydata subset into a Bundle.
 
-    Only ``POINTS`` and ``LINES`` blocks are interpreted; trailing
-    attribute blocks (POLYGONS, CELL_DATA, POINT_DATA, ...) are skipped.
-    A declared count that is negative or not an integer is a
-    MalformedHeader.
+    Each block opens a line with its keyword and two header tokens, and one
+    ``np.fromstring`` call converts its numbers. Only POINTS and LINES are
+    read; trailing attribute blocks (CELL_DATA, POINT_DATA, ...) are skipped.
+    ``str`` input is held to the same ASCII rule as ``bytes``.
     """
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("ascii", errors="strict")
-        except UnicodeDecodeError as exc:
-            raise MalformedHeader(f"file is not ASCII: {exc}") from None
-    else:
-        text = data
+    if not data.isascii():
+        raise MalformedHeader("file is not ASCII")
+    data = data.encode("ascii") if isinstance(data, str) else data
 
-    lines = text.splitlines()
-    if len(lines) < 4:
+    header = _HEADER.match(data)
+    if header is None:
         raise TruncatedFile("fewer than 4 header lines")
+    lines = [line.decode() for line in header.groups()]  # lines[1] is a free-form title
     if not lines[0].startswith("# vtk DataFile Version"):
         raise MalformedHeader(f"bad header line: {lines[0]!r}")
-    # lines[1] is a free-form title
     if lines[2].strip().upper() != "ASCII":
         raise MalformedHeader(f"expected ASCII encoding, got {lines[2]!r}")
     if lines[3].split()[:2] != ["DATASET", "POLYDATA"]:
         raise MalformedHeader(f"expected DATASET POLYDATA, got {lines[3]!r}")
 
-    # One token list for the rest of the file: a keyword, its two header
-    # tokens, then the block's size words.
-    flat = [tok for ln in lines[4:] for tok in ln.split()]
     points = indices = None
-    pos = 0
-    while pos < len(flat):
-        keyword = flat[pos].upper()
+    end = header.end()  # each block's numbers end where the next head starts
+    for head, nxt in itertools.pairwise(itertools.chain(_BLOCK_HEAD.finditer(data, end), [None])):
+        if head.start() != end:
+            raise MalformedHeader("numbers before the first block keyword")
+        keyword, count, second = (tok and tok.decode().upper() for tok in head.groups())
         if keyword in _SKIPPABLE_BLOCKS:
-            # Attribute blocks commonly follow; skip the rest of the file.
             warnings.warn(f"skipping unsupported block {keyword}", stacklevel=2)
             break
         if keyword not in ("POINTS", "LINES"):
             raise MalformedHeader(f"unsupported keyword {keyword!r}")
-        if pos + 3 > len(flat):
+        if second is None:
             raise TruncatedFile(f"file ends inside the {keyword} header")
-        count, second = _parse_count(flat[pos + 1], f"{keyword} count"), flat[pos + 2]
-        if keyword == "POINTS":
-            if second.lower() not in ("float", "double"):
-                raise MalformedHeader(f"unsupported POINTS type {second!r}")
-            size, dtype = 3 * count, np.float64
-        else:
-            size, dtype = _parse_count(second, "LINES size"), np.int64
-        pos += 3
-        if pos + size > len(flat):
-            raise TruncatedFile(f"{keyword} block truncated")
-        try:
-            block = np.array(flat[pos : pos + size], dtype=dtype)
-        except (ValueError, OverflowError) as exc:
+        count = _parse_count(count, f"{keyword} count")
+        if keyword == "POINTS" and second not in ("FLOAT", "DOUBLE"):
+            raise MalformedHeader(f"unsupported POINTS type {second!r}")
+        size = 3 * count if keyword == "POINTS" else _parse_count(second, "LINES size")
+        dtype = np.float64 if keyword == "POINTS" else np.int64
+        end = nxt.start() if nxt else len(data)
+        chunk = data[head.end() : end]
+        try:  # NumPy reads a blank block as one number, and older releases only warn on a bad token
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                block = np.fromstring(b"" if chunk.isspace() else chunk, dtype, sep=" ")
+            if dtype is np.int64 and (_BARE_SIGN.search(chunk) or _INT64.min in block or _INT64.max in block):
+                raise ValueError("a sign without digits, or a number past the int64 range")
+        except (ValueError, DeprecationWarning) as exc:
             raise MalformedHeader(f"bad {keyword} entry: {exc}") from None
-        pos += size
+        if len(block) != size:
+            error = TruncatedFile if len(block) < size else MalformedHeader
+            raise error(f"{keyword} block holds {len(block)} numbers, {size} declared")
         if keyword == "POINTS":
             points = block.reshape(count, 3)
         else:
-            indices, offsets, end = _split_records(block, count, 1)
-            if end != size:
-                raise MalformedHeader(f"LINES size mismatch: declared {size}, the records take {end}")
+            indices, offsets, stop = _split_records(block, count, 1)
+            if stop != size:
+                raise MalformedHeader(f"LINES size mismatch: declared {size}, the records take {stop}")
 
-    if points is None:
-        raise TruncatedFile("missing POINTS block")
-    if indices is None:
-        raise TruncatedFile("missing LINES block")
+    if points is None or indices is None:
+        raise TruncatedFile(f"missing {'POINTS' if points is None else 'LINES'} block")
     bad = (indices < 0) | (indices >= points.shape[0])
     if bad.any():
         raise IndexOutOfRange(f"point index {int(indices[bad][0])} outside [0, {points.shape[0]})")
@@ -279,8 +282,11 @@ def write_polydata(bundle: Bundle, title: str = "bundleshape streamlines") -> by
     """Serialize a Bundle to the ASCII polydata subset.
 
     Coordinates are printed with 9 significant digits, so a round trip
-    reproduces them to well under 1e-6 mm at anatomical scales.
+    reproduces them to well under 1e-6 mm at anatomical scales. The title
+    must be one line of ASCII, as :func:`parse_polydata` reads it.
     """
+    if not title.isascii() or "\n" in title or "\r" in title:
+        raise ValueError(f"polydata title must be one line of ASCII, got {title!r}")
     nop, nos = bundle.n_points, bundle.n_streamlines
     off = bundle.offsets.tolist()
     out = [

@@ -20,8 +20,6 @@ __all__ = [
     "RankDeficientWarning",
     "PcaModel",
     "fit",
-    "transform",
-    "inverse_transform",
 ]
 
 
@@ -47,10 +45,14 @@ class PcaModel:
         return self.components.shape[1]
 
     def transform(self, rows) -> np.ndarray:
-        return transform(self, rows)
+        """Project measure rows onto the principal axes: ((x - mean)/sd) @ C^T."""
+        z = (np.asarray(rows, dtype=np.float64) - self.feature_mean) / self.feature_sd
+        return z @ self.components.T
 
     def inverse_transform(self, scores) -> np.ndarray:
-        return inverse_transform(self, scores)
+        """Reconstruct measure rows from scores: (s @ C) * sd + mean."""
+        z = np.asarray(scores, dtype=np.float64) @ self.components
+        return z * self.feature_sd + self.feature_mean
 
     def standardize_scores(self, scores) -> np.ndarray:
         return np.asarray(scores, dtype=np.float64) / self.score_sd
@@ -93,15 +95,3 @@ def fit(rows, k: int) -> PcaModel:
         explained_variance_ratio=ratio,
         score_sd=np.sqrt(explained),
     )
-
-
-def transform(model: PcaModel, rows) -> np.ndarray:
-    """Project measure rows onto the principal axes: ((x - mean)/sd) @ C^T."""
-    z = (np.asarray(rows, dtype=np.float64) - model.feature_mean) / model.feature_sd
-    return z @ model.components.T
-
-
-def inverse_transform(model: PcaModel, scores) -> np.ndarray:
-    """Reconstruct measure rows from scores: (s @ C) * sd + mean."""
-    z = np.asarray(scores, dtype=np.float64) @ model.components
-    return z * model.feature_sd + model.feature_mean

@@ -46,12 +46,10 @@ _sobol_cache: dict[int, np.ndarray] = {}
 
 def _disc_layout(n: int) -> np.ndarray:
     """First n rows of the unscrambled 2-d Sobol sequence (cached)."""
-    size = 1
-    while size < n:
-        size *= 2
-    if size not in _sobol_cache:
-        _sobol_cache[size] = qmc.Sobol(d=2, scramble=False).random(size)
-    return _sobol_cache[size][:n]
+    m = (n - 1).bit_length()  # Sobol' balance needs 2**m >= n points
+    if m not in _sobol_cache:
+        _sobol_cache[m] = qmc.Sobol(d=2, scramble=False).random_base2(m)
+    return _sobol_cache[m][:n]
 
 
 @dataclass(frozen=True)
@@ -283,45 +281,23 @@ def generate_dataset(config: DatasetConfig, header_comment: str | None = None) -
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    sobol = qmc.Sobol(d=7, scramble=True, seed=config.master_seed)
-    size = 1
-    while size < config.n_bundles:
-        size *= 2
-    table = sobol.random(size)[: config.n_bundles]
-
     n = config.n_bundles
+    table = qmc.Sobol(d=7, scramble=True, seed=config.master_seed).random_base2((n - 1).bit_length())[:n]
+
     n_train = int(n * config.train_frac)
     n_val = int(n * config.val_frac)
     order = np.random.Generator(np.random.Philox(key=[config.master_seed, 0])).permutation(n)
-    split_of = {}
-    for rank, idx in enumerate(order):
-        if rank < n_train:
-            split_of[int(idx)] = "train"
-        elif rank < n_train + n_val:
-            split_of[int(idx)] = "val"
-        else:
-            split_of[int(idx)] = "test"
+    split_of = np.full(n, "test", dtype=object)
+    split_of[order[:n_train]] = "train"
+    split_of[order[n_train : n_train + n_val]] = "val"
 
     rows = []
     for i in range(n):
         spec = _draw_spec(config, i, table[i])
         path = out / f"bundle_{i:05d}.t2sb"
         path.write_bytes(write_native(generate_bundle(spec)))
-        rows.append(
-            ManifestRow(
-                path=str(path),
-                family=spec.family,
-                split=split_of[i],
-                seed=spec.seed,
-                tube_radius=spec.tube_radius,
-                n_streamlines=spec.n_streamlines,
-                points_per_streamline=spec.points_per_streamline,
-                jitter_sd=spec.jitter_sd,
-                length_mm=spec.length_mm,
-                angle_rad=spec.angle_rad,
-                pitch_mm=spec.pitch_mm,
-            )
-        )
+        from_spec = {k: getattr(spec, k) for k in MANIFEST_FIELDS if k not in ("path", "split")}
+        rows.append(ManifestRow(path=str(path), split=split_of[i], **from_spec))
     write_manifest(rows, out / "manifest.csv", header_comment=header_comment)
     return rows
 

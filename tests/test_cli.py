@@ -319,6 +319,13 @@ class TestPipeline:
         assert main(["gradcheck", "--probes", "10"]) == EXIT_OK
         assert "gradcheck PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("probes", ["0", "-5"])
+    def test_gradcheck_refuses_no_probes(self, probes, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--probes", probes])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
     def test_bench(self, tiny_run, capsys):
         _, cfg = tiny_run
         assert main(["bench", *cfg]) == EXIT_OK

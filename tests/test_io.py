@@ -184,9 +184,10 @@ class TestPolydata:
             "LINES 1 4\n"
             "3 0 1 2\n"
         )
-        b = parse_polydata(text)
-        assert b.n_streamlines == 1
-        np.testing.assert_allclose(b.streamlines[0][2], [2.0, 0.0, 0.0])
+        for data in (text, text.replace("\n", "\r\n")):
+            b = parse_polydata(data)
+            assert b.n_streamlines == 1
+            np.testing.assert_allclose(b.streamlines[0][2], [2.0, 0.0, 0.0])
 
     def test_accepts_double_points(self):
         text = (
@@ -217,6 +218,13 @@ class TestPolydata:
     def test_non_ascii_bytes_rejected(self):
         with pytest.raises(MalformedHeader):
             parse_polydata(b"\xff\xfe\x00\x01garbage")
+
+    def test_one_ascii_rule_for_str_and_bytes(self):
+        # U+0661 is a digit to Python's float(), but not ASCII.
+        text = POLYDATA_HEADER + "POINTS 2 float\n0 0 0 \u0661 1 1\nLINES 1 3\n2 0 1\n"
+        for data in (text, text.encode("utf-8")):
+            with pytest.raises(MalformedHeader, match="not ASCII"):
+                parse_polydata(data)
 
     def test_truncated_points(self):
         text = (
@@ -284,6 +292,35 @@ class TestPolydata:
             return
         assert isinstance(b, Bundle)
 
+    def test_random_round_trip_reads_each_printed_coordinate(self):
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            lengths = rng.integers(2, 9, size=rng.integers(1, 6))
+            n = int(lengths.sum())
+            pts = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-8, 8, size=(n, 3))
+            pts[rng.random((n, 3)) < 0.1] = -0.0
+            pts[:, 0] += np.arange(n)  # positive arc length
+            b = parse_polydata(write_polydata(Bundle(pts, np.concatenate([[0], np.cumsum(lengths)]))))
+            expected = [[float("%.9g" % x) for x in row] for row in pts.tolist()]
+            assert b.points.tobytes() == np.array(expected).tobytes()
+            np.testing.assert_array_equal(b.offsets, np.concatenate([[0], np.cumsum(lengths)]))
+
+    def test_parse_memory_is_a_small_multiple_of_the_file(self):
+        streamlines = np.random.default_rng(0).normal(0.0, 40.0, size=(1000, 100, 3))
+        blob = write_polydata(Bundle.from_streamlines(streamlines))
+        tracemalloc.start()
+        try:
+            parse_polydata(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(blob)
+
+    @pytest.mark.parametrize("title", ["a\nb", "a\rb", "caf\u00e9"])
+    def test_refuses_a_title_it_cannot_read_back(self, title):
+        with pytest.raises(ValueError, match="title must be one line of ASCII"):
+            write_polydata(simple_bundle(), title=title)
+
     def test_written_bytes_are_pinned(self):
         assert write_polydata(simple_bundle()) == (
             b"# vtk DataFile Version 3.0\nbundleshape streamlines\nASCII\nDATASET POLYDATA\n"
@@ -301,8 +338,30 @@ class TestPolydata:
             ("POINTS 2 float\n0 0 0 1 1 1\nLINES 2 3\n-1 0 1\n", ShortStreamline, "-1 points"),
             ("POINTS 2 float\n0 0 0 1 1 1\nLINES 2 4\n-7 0 1 1\n", ShortStreamline, "-7 points"),
             ("POINTS 2 float\n0 0 0 1 1 1\nLINES 1 3\n2 0 99999999999999999999\n", MalformedHeader, "LINES entry"),
+            ("POINTS 2 float\n0 0 0 1 1 1\nLINES 1 3\n2 0 -99999999999999999999\n", MalformedHeader, "LINES entry"),
+            ("POINTS 2 float\n0 0 0 1 1 1\nLINES 1 3\n2 0 1 x\n", MalformedHeader, "LINES entry"),
+            ("POINTS 2 float\n0 0 0 1 1 1 7\nLINES 1 3\n2 0 1\n", MalformedHeader, "POINTS block holds 7"),
+            ("POINTS 2 float\n0 0 0 1 1 1 LINES 1 3\n2 0 1\n", MalformedHeader, "POINTS entry"),
+            ("POINTS 2 float\n0 0 0 1 1 1\nLINES 1 3\n2 0 -\n", MalformedHeader, "LINES entry"),
+            ("POINTS 2 float\n0 0 0 1 1 1\nLINES 1 1 \n", TruncatedFile, "LINES block holds 0"),
+            ("1 2 3\nPOINTS 2 float\n0 0 0 1 1 1\nLINES 1 3\n2 0 1\n", MalformedHeader, "before the first block"),
         ],
-        ids=["points", "points_with_data", "lines_count", "lines_size", "record", "record_steps_back", "index_past_int64"],
+        ids=[
+            "points",
+            "points_with_data",
+            "lines_count",
+            "lines_size",
+            "record",
+            "record_steps_back",
+            "index_past_int64",
+            "index_past_int64_negative",
+            "junk_after_block",
+            "number_after_block",
+            "keyword_mid_line",
+            "bare_sign",
+            "blank_block",
+            "numbers_before_first_block",
+        ],
     )
     def test_bad_counts_past_the_header(self, body, error, match):
         start = time.perf_counter()
@@ -328,12 +387,13 @@ class TestPolydata:
                 ),
             ),
             max_size=4,
-        )
+        ),
+        st.sampled_from(["\n", "\r\n"]),
     )
-    def test_fuzz_body_never_crash(self, blocks):
+    def test_fuzz_body_never_crash(self, blocks, newline):
         """Blocks of a keyword, two small header tokens and a few words after
         a valid header reach the counts and records, not just the header."""
-        body = "\n".join(" ".join([keyword, *head, *words]) for keyword, *head, words in blocks)
+        body = newline.join(" ".join([keyword, *head, *words]) for keyword, *head, words in blocks)
         try:
             b = parse_polydata(POLYDATA_HEADER + body)
         except (BundleIOError, BundleError):
