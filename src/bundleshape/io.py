@@ -219,7 +219,7 @@ def parse_polydata(data: bytes | str) -> Bundle:
         raise MalformedHeader(f"bad header line: {lines[0]!r}")
     if lines[2].strip().upper() != "ASCII":
         raise MalformedHeader(f"expected ASCII encoding, got {lines[2]!r}")
-    if lines[3].split()[:2] != ["DATASET", "POLYDATA"]:
+    if lines[3].split() != ["DATASET", "POLYDATA"]:
         raise MalformedHeader(f"expected DATASET POLYDATA, got {lines[3]!r}")
 
     points = indices = None

@@ -15,7 +15,8 @@ Inference and training share one point encoder. It runs over chunks of
 whole clouds, about POOL_CHUNK_POINTS points each, and max-pools the last
 layer before its bias and ReLU, so no point activation exists at full
 (B, N, d) size. This is exact: float addition and ReLU are monotone, so
-``relu(max(z) + b) == max(relu(z + b))``.
+``relu(max(z) + b) == max(relu(z + b))``. Each layer writes into one
+buffer per call, reused by every chunk, with bias and ReLU in place.
 
 Training (``want_cache=True``, float64) also keeps, per cloud and
 channel, the point that attains the max: the critical point set of
@@ -23,17 +24,18 @@ PointNet (Qi et al., CVPR 2017, sec. 4.3). Only those points receive
 gradient through the pool, so each chunk gathers the input and hidden
 activations of its unique critical points before it is dropped, and
 backward() runs the four point layers on those rows only (84 per cloud
-at initialization and 96 after default training, on average, of 1,024). The gradients are exact and analytic
-(validated against finite differences and a dense reference in the test
-suite).
+at initialization and 96 after default training, on average, of 1,024).
+The gradients are exact and analytic (validated against finite
+differences and a dense reference in the test suite).
 
 Tie rule: a channel routes its gradient to the first point that attains
-the max of ``z = h3 @ W``, before the bias. A cloud of identical points
-thus sends every channel to point 0. A channel whose pooled value is
-zero after the ReLU (dead) gets zero gradient whichever point it names.
-The critical point is the first point whose ``z`` equals the pooled max,
-so it is not defined for a non-finite ``z`` (a NaN equals nothing); such
-a ``z`` only occurs in an epoch whose loss then raises FloatingPointError.
+the max of ``z = h3 @ W``, before the bias, so a cloud of identical points
+sends every channel to point 0. A dead channel (pooled value zero after
+the ReLU) gets zero gradient whichever point it names. The search pools
+the maxima of blocks of _ARG_BLOCK points (exact: max rounds nothing),
+then takes the first block whose max equals the pool and, in it alone,
+the first point that does. A NaN equals nothing, so a non-finite ``z`` (only
+in an epoch whose loss then raises FloatingPointError) has no critical point.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ HEAD_HIDDEN = 128
 # Points per inference chunk; a chunk holds max(1, POOL_CHUNK_POINTS // N)
 # whole clouds, so its widest activation stays small enough for the cache.
 POOL_CHUNK_POINTS = 2048
+_ARG_BLOCK = 16  # points per block of the critical-point search
 
 
 class ShapeMismatch(ValueError):
@@ -92,12 +95,26 @@ def _he_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _affine_relu(h, w, b):
+def _affine_relu(h, w, b, out=None):
     """relu(h @ w + b), with the bias and ReLU applied in place on the GEMM result."""
-    h = h @ w
+    h = np.matmul(h, w, out=out)
     h += b
     np.maximum(h, 0.0, out=h)
     return h
+
+
+def _first_max(z, pooled):
+    """Pool (c, N, d) ``z`` into ``pooled``; return the first point attaining it."""
+    c, n, d = z.shape
+    k = n // _ARG_BLOCK
+    blocks = np.empty((c, -(-n // _ARG_BLOCK), d), dtype=z.dtype)
+    z[:, : k * _ARG_BLOCK].reshape(c, k, _ARG_BLOCK, d).max(axis=2, out=blocks[:, :k])
+    if n % _ARG_BLOCK:
+        z[:, k * _ARG_BLOCK :].max(axis=1, out=blocks[:, -1])
+    blocks.max(axis=1, out=pooled)
+    start = (blocks == pooled[:, None]).argmax(axis=1) * _ARG_BLOCK
+    block = np.minimum(start[:, None] + np.arange(_ARG_BLOCK)[:, None], n - 1)
+    return start + (np.take_along_axis(z, block, axis=1) == pooled[:, None]).argmax(axis=1)
 
 
 def _pooled_points(params, x, want_critical=False):
@@ -105,38 +122,35 @@ def _pooled_points(params, x, want_critical=False):
     last layer's bias and ReLU are applied once, after the pool.
 
     With ``want_critical`` also returns, for backward(), the flat indices
-    (into the B*N points) of the unique critical points in ascending
-    order, the slot of each (cloud, channel) among them, and the rows of
-    the input and hidden activations at those points (see the module
-    docstring for the tie rule)."""
+    (into the B*N points) of the unique critical points (module docstring)
+    in ascending order, the slot of each (cloud, channel) among them, and
+    the rows of the input and hidden activations at those points."""
     b_dim, n_dim = x.shape[0], x.shape[1]
     last = len(POINT_WIDTHS) - 2
     w_last = params[f"point{last}.w"]
     pooled = np.empty((b_dim, POINT_WIDTHS[-1]), dtype=np.result_type(x, w_last))
     if want_critical:
         slot = np.empty(pooled.shape, dtype=np.intp)
-        index, rows = [], [[] for _ in range(last + 1)]
-        n_rows = 0
+        index, rows, n_rows = [], [[] for _ in range(last + 1)], 0
     step = max(1, POOL_CHUNK_POINTS // n_dim)
+    bufs = [np.empty((min(step, b_dim) * n_dim, d), dtype=pooled.dtype) for d in POINT_WIDTHS[1:]]
     for s in range(0, b_dim, step):
         h = x[s : s + step].reshape(-1, POINT_WIDTHS[0])
         acts = [h]
         for i in range(last):
-            h = _affine_relu(h, params[f"point{i}.w"], params[f"point{i}.b"])
-            if want_critical:
-                acts.append(h)
-        z = (h @ w_last).reshape(-1, n_dim, POINT_WIDTHS[-1])
-        z.max(axis=1, out=pooled[s : s + step])
-        if want_critical:
-            # First point that attains the max of z. argmax over axis 1 works
-            # on a transposed copy: of a bool mask, not of the float64 z.
-            arg = (z == pooled[s : s + step, None, :]).argmax(axis=1)
-            crit, inv = np.unique(arg + n_dim * np.arange(len(arg))[:, None], return_inverse=True)
-            slot[s : s + step] = inv.reshape(arg.shape) + n_rows
-            n_rows += crit.size
-            index.append(crit + s * n_dim)
-            for kept, a in zip(rows, acts):
-                kept.append(a[crit])
+            h = _affine_relu(h, params[f"point{i}.w"], params[f"point{i}.b"], out=bufs[i][: len(h)])
+            acts.append(h)
+        z = np.matmul(h, w_last, out=bufs[last][: len(h)]).reshape(-1, n_dim, POINT_WIDTHS[-1])
+        if not want_critical:
+            z.max(axis=1, out=pooled[s : s + step])
+            continue
+        arg = _first_max(z, pooled[s : s + step])
+        crit, inv = np.unique(arg + n_dim * np.arange(len(arg))[:, None], return_inverse=True)
+        slot[s : s + step] = inv.reshape(arg.shape) + n_rows
+        n_rows += crit.size
+        index.append(crit + s * n_dim)
+        for kept, a in zip(rows, acts):
+            kept.append(a[crit])
     pooled += params[f"point{last}.b"]
     np.maximum(pooled, 0.0, out=pooled)
     if not want_critical:

@@ -83,8 +83,10 @@ def _measures_from_outputs(ckpt: Checkpoint, outputs: np.ndarray) -> np.ndarray:
 def train(data: TrainData, cfg: TrainConfig):
     """Train on the train split; returns (Checkpoint, per-epoch log rows).
 
-    Raises FloatingPointError (and no NumPy overflow warnings) at the end of the
-    first epoch whose train or val loss is not finite: a diverged run yields no checkpoint."""
+    The validation forward runs in float32, as in ``predict_measures``; no parameter
+    depends on ``val_loss``. Raises FloatingPointError (and no NumPy overflow warnings)
+    at the end of the first epoch whose train or val loss is not finite: a diverged run
+    yields no checkpoint."""
     idx_train = data.indices("train")
     idx_val = data.indices("val")
     if idx_train.size == 0 or idx_val.size == 0:
@@ -127,14 +129,13 @@ def train(data: TrainData, cfg: TrainConfig):
                 preds[:half], preds[half:], targets[batch[:half]], targets[batch[half:]],
                 cfg.lam_pair,
             )
-            grads = backward(params, cache, np.concatenate([d_a, d_b], axis=0))
-            adam_step(opt, params, grads)
+            adam_step(opt, params, backward(params, cache, np.concatenate([d_a, d_b], axis=0)))
+            del cache  # free the critical rows before the next forward
             epoch_loss += loss
         train_loss = epoch_loss / max(n_batches, 1)
 
-        val_preds = forward(
-            params, data.points[idx_val], tab[idx_val] if tab is not None else None, cfg.variant
-        )
+        tab_val = tab[idx_val] if tab is not None else None
+        val_preds = forward(params, data.points[idx_val], tab_val, cfg.variant, dtype=np.float32)
         val_loss = float(np.mean((val_preds - targets[idx_val]) ** 2))
         if not np.isfinite([train_loss, val_loss]).all():
             raise FloatingPointError(

@@ -207,8 +207,14 @@ class TestPolydata:
         assert b.n_streamlines == 1
 
     def test_bad_header(self):
-        with pytest.raises(MalformedHeader):
-            parse_polydata("not a header\nt\nASCII\nDATASET POLYDATA\n")
+        body = "POINTS 2 float\n0 0 0 1 1 1\nLINES 1 3\n2 0 1\n"
+        for header in (
+            "not a header\nt\nASCII\nDATASET POLYDATA\n",
+            "# vtk DataFile Version 3.0\nt\nASCII\nDATASET POLYDATA 7 7 junk\n",
+            "# vtk DataFile Version 3.0\nt\nASCII\nDATASET POLYDATA junk\n",
+        ):
+            with pytest.raises(MalformedHeader):
+                parse_polydata(header + body)
 
     def test_binary_encoding_rejected(self):
         text = "# vtk DataFile Version 3.0\nt\nBINARY\nDATASET POLYDATA\n"

@@ -224,6 +224,52 @@ class TestCriticalRows:
         assert peak < 48 * 2**20
 
 
+def first_argmax_reference(params, pts):
+    """(B, 256) first point attaining the max of z = h3 @ W, from a dense z."""
+    h = pts.reshape(-1, 3)
+    for i in range(len(POINT_WIDTHS) - 2):
+        h = np.maximum(h @ params[f"point{i}.w"] + params[f"point{i}.b"], 0.0)
+    z = h @ params[f"point{len(POINT_WIDTHS) - 2}.w"]
+    return z.reshape(pts.shape[0], pts.shape[1], -1).argmax(axis=1)
+
+
+class TestBlockSearch:
+    """The critical point of each (cloud, channel) is found block by block;
+    it must stay the first point that attains the max, wherever it lies."""
+
+    @staticmethod
+    def critical_points(params, pts):
+        _, cache = forward(params, pts, None, "vanilla", want_cache=True)
+        flat = cache["critical_index"][cache["critical_slot"]]
+        return flat - pts.shape[1] * np.arange(len(pts))[:, None]
+
+    @pytest.mark.parametrize("n_points", [1, 17, 64, 2053])
+    def test_first_argmax(self, n_points):
+        rng = np.random.default_rng(n_points)
+        params = random_biases(init_params("vanilla", seed=3), rng)
+        far = 8 * rng.normal(size=(3, 3))
+        clouds = {
+            "random": rng.normal(size=(3, n_points, 3)),
+            # Few distinct points: nearly every channel ties across blocks.
+            "ties": rng.normal(size=(3, 4, 3))[:, rng.integers(0, 4, size=n_points)],
+        }
+        if n_points > 16:
+            # A far point repeated at 15 and 16 ties across a block boundary.
+            clouds["boundary"] = clouds["random"].copy()
+            clouds["boundary"][:, 15] = clouds["boundary"][:, 16] = far
+        if n_points % 16 and n_points > 16:
+            # A far point in the partial tail block only.
+            clouds["tail"] = clouds["random"].copy()
+            clouds["tail"][:, -1] = far
+        for name, pts in clouds.items():
+            ref = first_argmax_reference(params, pts)
+            np.testing.assert_array_equal(self.critical_points(params, pts), ref, err_msg=name)
+        if "boundary" in clouds:
+            assert (first_argmax_reference(params, clouds["boundary"]) == 15).any()
+        if "tail" in clouds:
+            assert (first_argmax_reference(params, clouds["tail"]) == n_points - 1).any()
+
+
 class TestInvariances:
     def test_exact_point_permutation_invariance(self):
         rng = np.random.default_rng(1)

@@ -1,13 +1,18 @@
 """Training loop tests on a miniature dataset."""
 
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bundleshape.checkpoint import TrainConfig, load_checkpoint, save_checkpoint
 from bundleshape.io import read_native
+from bundleshape.net import backward, forward, init_params
 from bundleshape.shapes import compute_measures
 from bundleshape.synth import DatasetConfig, generate_dataset
 from bundleshape.train import (
+    TrainData,
     load_training_arrays,
     predict_measures,
     train,
@@ -107,3 +112,51 @@ class TestTrain:
         _, data = tiny_data
         with pytest.raises(ValueError):
             train(data, tiny_config(batch_size=64))
+
+    def test_validation_runs_in_float32(self, tiny_data, monkeypatch):
+        _, data = tiny_data
+        ckpt, log = train(data, tiny_config(epochs=1))
+        idx = data.indices("val")
+        tab = ckpt.standardizer.apply_many(data.tabular[idx])
+        preds = forward(ckpt.params, data.points[idx], tab, "full", dtype=np.float32)
+        targets = ckpt.pca.standardize_scores(ckpt.pca.transform(data.measures[idx]))
+        assert log[-1]["val_loss"] == float(np.mean((preds - targets) ** 2))
+
+        # Validation precision cannot leak into training: the same run with
+        # a float64 validation forward ends with the same parameters.
+        def float64_forward(*args, **kw):
+            return forward(*args, **{**kw, "dtype": np.float64})
+
+        monkeypatch.setattr(importlib.import_module("bundleshape.train"), "forward", float64_forward)
+        ckpt64, log64 = train(data, tiny_config(epochs=1))
+        assert log64[-1]["val_loss"] != log[-1]["val_loss"]
+        for name in ckpt.params:
+            np.testing.assert_array_equal(ckpt64.params[name], ckpt.params[name], err_msg=name)
+
+    def test_epoch_peak_holds_one_batch(self):
+        """A training epoch peaks at about one batch's forward and backward:
+        the previous batch's critical rows are freed before the next forward."""
+        rng = np.random.default_rng(0)
+        data = TrainData(
+            points=rng.normal(size=(72, 1024, 3)),
+            tabular=rng.uniform(1, 9, size=(72, 2)),
+            measures=rng.uniform(1, 2, size=(72, 10)),
+            splits=("train",) * 64 + ("val",) * 4 + ("test",) * 4,
+        )
+        cfg = TrainConfig(epochs=1, batch_size=32)
+        params = init_params("full", seed=0)
+        tracemalloc.start()
+        try:
+            preds, cache = forward(params, data.points[:32], data.tabular[:32], "full", want_cache=True)
+            backward(params, cache, np.ones_like(preds))
+            one_batch = tracemalloc.get_traced_memory()[1]
+            cache_bytes = sum(a.nbytes for a in cache["critical_acts"])
+            del preds, cache
+            tracemalloc.reset_peak()
+            train(data, cfg)
+            epoch = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Adam's two moments and the epoch's small arrays fit in less than
+        # one batch's critical rows (~5 MiB); a stale cache alone fills them.
+        assert epoch - one_batch < cache_bytes
