@@ -37,12 +37,19 @@ class OutOfRange(ValueError):
     pass
 
 
+def _pow2_scaled(*arrays):
+    """``arrays`` times the power of two taking their top magnitude into [0.5, 1); exact."""
+    exp = np.frexp(max(np.abs(a).max() for a in arrays))[1]
+    return [np.ldexp(a, -exp) for a in arrays]
+
+
 def pearson_r(x, y) -> float:
     """Sample Pearson correlation of two equal-length vectors."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1 or x.shape[0] < 2:
         raise ValueError("need two equal-length 1-d vectors with n >= 2")
+    x, y = _pow2_scaled(x) + _pow2_scaled(y)
     dx = x - x.mean()
     dy = y - y.mean()
     denom = np.sqrt((dx * dx).sum() * (dy * dy).sum())
@@ -61,6 +68,7 @@ def nmse(pred, gt) -> float:
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape or pred.ndim != 1 or pred.shape[0] < 2:
         raise ValueError("need two equal-length 1-d vectors with n >= 2")
+    pred, gt = _pow2_scaled(pred, gt)
     var = gt.var()
     if var <= 0:
         raise ZeroVariance("ground truth has zero variance")

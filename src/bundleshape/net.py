@@ -17,16 +17,22 @@ layer before its bias and ReLU, so no point activation exists at full
 (B, N, d) size. This is exact: float addition and ReLU are monotone, so
 ``relu(max(z) + b) == max(relu(z + b))``. Each layer writes into one
 buffer per call, reused by every chunk, with bias and ReLU in place.
+Below float64 (inference) the hidden biases fold into per-call shifts,
+beta_0 = b_0 and beta_i = beta_{i-1} W_i + b_i: a hidden layer is its GEMM
+plus one ``max(., -beta_i)``, and ``beta_2 W_3 + b_3`` is added after the
+pool (exact in real arithmetic). Float64 never folds: the rounding of each
+bias's route through the later shifts fails the finite-difference check on
+the biases of dead channels (2.7e-2, where the exact gradient is 0).
 
 Training (``want_cache=True``, float64) also keeps, per cloud and
 channel, the point that attains the max: the critical point set of
 PointNet (Qi et al., CVPR 2017, sec. 4.3). Only those points receive
-gradient through the pool, so each chunk gathers the input and hidden
-activations of its unique critical points before it is dropped, and
-backward() runs the four point layers on those rows only (84 per cloud
-at initialization and 96 after default training, on average, of 1,024).
-The gradients are exact and analytic (validated against finite
-differences and a dense reference in the test suite).
+gradient through the pool, so the cache keeps their coordinates alone (84
+per cloud at initialization, 96 after default training, of 1,024), and
+backward() recomputes each point layer's input rows from them, one layer
+at a time (Chen et al., 2016). BLAS gives each row of ``h @ W`` the same
+bits whatever the other rows, so the rows equal the forward's and the
+gradients stay exact (tests check both, and finite differences).
 
 Tie rule: a channel routes its gradient to the first point that attains
 the max of ``z = h3 @ W``, before the bias, so a cloud of identical points
@@ -124,22 +130,30 @@ def _pooled_points(params, x, want_critical=False):
     With ``want_critical`` also returns, for backward(), the flat indices
     (into the B*N points) of the unique critical points (module docstring)
     in ascending order, the slot of each (cloud, channel) among them, and
-    the rows of the input and hidden activations at those points."""
+    the (n_crit, 3) coordinates of those points."""
     b_dim, n_dim = x.shape[0], x.shape[1]
     last = len(POINT_WIDTHS) - 2
-    w_last = params[f"point{last}.w"]
+    w_last, b_last = params[f"point{last}.w"], params[f"point{last}.b"]
     pooled = np.empty((b_dim, POINT_WIDTHS[-1]), dtype=np.result_type(x, w_last))
+    fold = pooled.dtype != np.float64
+    if fold:  # module docstring
+        shifts = [params["point0.b"]]
+        for i in range(1, last + 1):
+            shifts.append(shifts[-1] @ params[f"point{i}.w"] + params[f"point{i}.b"])
+        b_last = shifts.pop()
     if want_critical:
         slot = np.empty(pooled.shape, dtype=np.intp)
-        index, rows, n_rows = [], [[] for _ in range(last + 1)], 0
+        index, n_rows = [], 0
     step = max(1, POOL_CHUNK_POINTS // n_dim)
     bufs = [np.empty((min(step, b_dim) * n_dim, d), dtype=pooled.dtype) for d in POINT_WIDTHS[1:]]
     for s in range(0, b_dim, step):
         h = x[s : s + step].reshape(-1, POINT_WIDTHS[0])
-        acts = [h]
         for i in range(last):
-            h = _affine_relu(h, params[f"point{i}.w"], params[f"point{i}.b"], out=bufs[i][: len(h)])
-            acts.append(h)
+            if fold:
+                h = np.matmul(h, params[f"point{i}.w"], out=bufs[i][: len(h)])
+                np.maximum(h, -shifts[i], out=h)
+            else:
+                h = _affine_relu(h, params[f"point{i}.w"], params[f"point{i}.b"], out=bufs[i][: len(h)])
         z = np.matmul(h, w_last, out=bufs[last][: len(h)]).reshape(-1, n_dim, POINT_WIDTHS[-1])
         if not want_critical:
             z.max(axis=1, out=pooled[s : s + step])
@@ -149,13 +163,12 @@ def _pooled_points(params, x, want_critical=False):
         slot[s : s + step] = inv.reshape(arg.shape) + n_rows
         n_rows += crit.size
         index.append(crit + s * n_dim)
-        for kept, a in zip(rows, acts):
-            kept.append(a[crit])
-    pooled += params[f"point{last}.b"]
+    pooled += b_last
     np.maximum(pooled, 0.0, out=pooled)
     if not want_critical:
         return pooled
-    return pooled, np.concatenate(index), slot, [np.concatenate(r) for r in rows]
+    index = np.concatenate(index)
+    return pooled, index, slot, x[np.divmod(index, n_dim)]
 
 
 def param_shapes(variant: str) -> dict[str, tuple[int, ...]]:
@@ -200,8 +213,8 @@ def forward(
     ``want_cache=True`` the cache keeps, of the point encoder, only the
     critical points: ``critical_index`` (flat indices into the B*N
     points), ``critical_slot`` ((B, 256) row of each cloud's channel
-    among them) and ``critical_acts`` (the input and the three hidden
-    activations at those rows).
+    among them) and ``critical_points`` (their (n_crit, 3) coordinates,
+    from which backward() recomputes the hidden rows).
 
     ``dtype`` selects the compute precision. Training and gradient
     checking use the float64 default; inference may pass float32, which
@@ -216,7 +229,7 @@ def forward(
     cache: dict = {"variant": variant}
 
     if want_cache:
-        pooled, cache["critical_index"], cache["critical_slot"], cache["critical_acts"] = (
+        pooled, cache["critical_index"], cache["critical_slot"], cache["critical_points"] = (
             _pooled_points(params, x, want_critical=True)
         )
     else:
@@ -246,10 +259,10 @@ def forward(
 def backward(params, cache, d_out) -> dict[str, np.ndarray]:
     """Exact gradients of every parameter given d(loss)/d(output).
 
-    The point layers run on the critical rows of the cache only: each
+    The point layers run on the critical points of the cache only: each
     pooled channel's gradient goes to the row of the point it came from,
     masked where the pooled value is zero after the ReLU, and every other
-    point would carry a zero gradient row.
+    point would carry a zero gradient row (rows recomputed per layer).
     """
     variant = cache["variant"]
     grads: dict[str, np.ndarray] = {}
@@ -276,14 +289,18 @@ def backward(params, cache, d_out) -> dict[str, np.ndarray]:
             grads[f"tab{i}.b"] = d_t.sum(axis=0)
             d_t = d_t @ params[f"tab{i}.w"].T
 
-    acts = cache["critical_acts"]
-    d_h = np.zeros((len(acts[0]), pool_dim), dtype=d_pooled.dtype)
+    pts = cache["critical_points"]
+    d_h = np.zeros((len(pts), pool_dim), dtype=d_pooled.dtype)
     d_h[cache["critical_slot"], np.arange(pool_dim)] = d_pooled
     for i in reversed(range(len(POINT_WIDTHS) - 1)):
-        grads[f"point{i}.w"] = acts[i].T @ d_h
+        a = pts  # layer i's input rows, recomputed and dropped per layer
+        for j in range(i):
+            a = _affine_relu(a, params[f"point{j}.w"], params[f"point{j}.b"])
+        grads[f"point{i}.w"] = a.T @ d_h
         grads[f"point{i}.b"] = d_h.sum(axis=0)
         if i:
-            d_h = (d_h @ params[f"point{i}.w"].T) * (acts[i] > 0)
+            d_h = d_h @ params[f"point{i}.w"].T
+            d_h *= a > 0
     return grads
 
 

@@ -50,6 +50,17 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson_r([1.0], [2.0])
 
+    @pytest.mark.parametrize("sx, sy", [(1e155, 1e-10), (1e160, 1e160), (1e-170, 1e-170)])
+    def test_extreme_scales(self, sx, sy):
+        # Squares of these overflow or underflow float64 unless rescaled.
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        assert pearson_r(x * sx, (2 * x + 1) * sy) == pytest.approx(1.0, abs=1e-12)
+
+    def test_power_of_two_scale_is_exact(self):
+        rng = np.random.default_rng(3)
+        x, y = rng.normal(size=40), rng.normal(size=40)
+        assert pearson_r(x * 2.0**-900, y * 2.0**800) == pearson_r(x, y)
+
 
 class TestNmse:
     def test_exact_match_is_zero(self):
@@ -70,6 +81,13 @@ class TestNmse:
     def test_zero_variance_gt(self):
         with pytest.raises(ZeroVariance):
             nmse([1.0, 2.0], [3.0, 3.0])
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170, 2.0**-1000])
+    def test_extreme_scales(self, scale):
+        gt = np.array([1.0, 2.0, 3.0, 4.0])
+        pred = gt + [0.1, -0.1, 0.2, 0.0]
+        # MSE 0.015 over population variance 1.25.
+        assert nmse(pred * scale, gt * scale) == pytest.approx(0.012, rel=1e-12)
 
 
 class TestFisherZ:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bundleshape import net
 from bundleshape.net import (
     HEAD_HIDDEN,
     POINT_WIDTHS,
@@ -191,7 +192,7 @@ class TestCriticalRows:
         # Each cloud keeps between one and 256 distinct points.
         per_cloud = np.bincount(cache["critical_index"] // n_points, minlength=batch)
         assert per_cloud.min() >= 1 and per_cloud.max() <= min(n_points, POINT_WIDTHS[-1])
-        assert per_cloud.sum() == len(cache["critical_acts"][0])
+        assert per_cloud.sum() == len(cache["critical_points"])
 
     def test_identical_points_route_to_point_0(self):
         rng = np.random.default_rng(8)
@@ -220,8 +221,56 @@ class TestCriticalRows:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # One full-size float64 activation of the 256-wide layer alone is 67 MB.
-        assert peak < 48 * 2**20
+        # One full-size float64 activation of the 256-wide layer alone is 67 MB;
+        # a forward and backward that keep no hidden rows in the cache peak near 12 MB.
+        assert peak < 16 * 2**20
+        # The point encoder caches coordinates only: at most 256 points per cloud.
+        assert cache["critical_points"].size <= len(pts) * POINT_WIDTHS[-1] * 3
+
+
+class TestRecomputedRows:
+    """backward() recomputes the critical points' hidden rows from their
+    coordinates. It relies on BLAS giving each row of ``h @ W`` the same bits
+    whatever the other rows are, so rows and gradients must match, bit for
+    bit, those gathered from one forward over all B*N points."""
+
+    @pytest.mark.parametrize("batch, n_points", [(32, 1024), (3, 1), (2, POOL_CHUNK_POINTS + 5)])
+    def test_bitwise_equal_to_gathered_rows(self, monkeypatch, batch, n_points):
+        rng = np.random.default_rng(batch * 13 + n_points)
+        params = random_biases(init_params("full", seed=4), rng)
+        pts, tab = small_inputs(rng, "full", batch=batch, n_points=n_points)
+        d_out = rng.normal(size=(batch, output_dim("full")))
+        _, cache = forward(params, pts, tab, "full", want_cache=True)
+        full = [pts.reshape(-1, 3)]
+        for i in range(len(POINT_WIDTHS) - 2):
+            full.append(net._affine_relu(full[-1], params[f"point{i}.w"], params[f"point{i}.b"]))
+        rows = [a[cache["critical_index"]] for a in full]
+        del full
+
+        recomputed, affine_relu = [], net._affine_relu
+
+        def recording(*args):
+            recomputed.append(affine_relu(*args))
+            return recomputed[-1]
+
+        monkeypatch.setattr(net, "_affine_relu", recording)
+        grads = backward(params, cache, d_out)
+        np.testing.assert_array_equal(cache["critical_points"], rows[0])
+        # Layers 3, 2 and 1 recompute their inputs: rows 1-3, 1-2, then 1.
+        assert len(recomputed) == 6
+        for depth, got in zip([1, 2, 3, 1, 2, 1], recomputed):
+            np.testing.assert_array_equal(got, rows[depth], err_msg=f"layer {depth}")
+
+        # The parent's backward on gathered rows, from the same pooled gradient.
+        pool_dim = POINT_WIDTHS[-1]
+        dg = (d_out @ params["head1.w"].T) * (cache["head_hidden"] > 0)
+        d_pooled = (dg @ params["head0.w"].T)[:, :pool_dim] * (cache["fused"][:, :pool_dim] > 0)
+        d_h = np.zeros((len(rows[0]), pool_dim))
+        d_h[cache["critical_slot"], np.arange(pool_dim)] = d_pooled
+        for i in reversed(range(len(POINT_WIDTHS) - 1)):
+            np.testing.assert_array_equal(grads[f"point{i}.w"], rows[i].T @ d_h)
+            np.testing.assert_array_equal(grads[f"point{i}.b"], d_h.sum(axis=0))
+            d_h = (d_h @ params[f"point{i}.w"].T) * (rows[i] > 0)
 
 
 def first_argmax_reference(params, pts):

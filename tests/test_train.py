@@ -8,7 +8,7 @@ import pytest
 
 from bundleshape.checkpoint import TrainConfig, load_checkpoint, save_checkpoint
 from bundleshape.io import read_native
-from bundleshape.net import backward, forward, init_params
+from bundleshape.net import forward
 from bundleshape.shapes import compute_measures
 from bundleshape.synth import DatasetConfig, generate_dataset
 from bundleshape.train import (
@@ -135,7 +135,8 @@ class TestTrain:
 
     def test_epoch_peak_holds_one_batch(self):
         """A training epoch peaks at about one batch's forward and backward:
-        the previous batch's critical rows are freed before the next forward."""
+        the previous batch's cache is freed before the next forward, and a
+        cache keeps the critical points' coordinates, not their hidden rows."""
         rng = np.random.default_rng(0)
         data = TrainData(
             points=rng.normal(size=(72, 1024, 3)),
@@ -143,20 +144,13 @@ class TestTrain:
             measures=rng.uniform(1, 2, size=(72, 10)),
             splits=("train",) * 64 + ("val",) * 4 + ("test",) * 4,
         )
-        cfg = TrainConfig(epochs=1, batch_size=32)
-        params = init_params("full", seed=0)
         tracemalloc.start()
         try:
-            preds, cache = forward(params, data.points[:32], data.tabular[:32], "full", want_cache=True)
-            backward(params, cache, np.ones_like(preds))
-            one_batch = tracemalloc.get_traced_memory()[1]
-            cache_bytes = sum(a.nbytes for a in cache["critical_acts"])
-            del preds, cache
-            tracemalloc.reset_peak()
-            train(data, cfg)
+            train(data, TrainConfig(epochs=1, batch_size=32))
             epoch = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Adam's two moments and the epoch's small arrays fit in less than
-        # one batch's critical rows (~5 MiB); a stale cache alone fills them.
-        assert epoch - one_batch < cache_bytes
+        # ~14.6 MB: one batch's forward and backward (~12 MB) plus Adam's two
+        # moments and the epoch's small arrays. Hidden rows in the cache
+        # (~5.5 MB a batch), kept or left over from the last batch, exceed it.
+        assert epoch < 16 * 2**20
