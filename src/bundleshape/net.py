@@ -17,12 +17,6 @@ layer before its bias and ReLU, so no point activation exists at full
 (B, N, d) size. This is exact: float addition and ReLU are monotone, so
 ``relu(max(z) + b) == max(relu(z + b))``. Each layer writes into one
 buffer per call, reused by every chunk, with bias and ReLU in place.
-Below float64 (inference) the hidden biases fold into per-call shifts,
-beta_0 = b_0 and beta_i = beta_{i-1} W_i + b_i: a hidden layer is its GEMM
-plus one ``max(., -beta_i)``, and ``beta_2 W_3 + b_3`` is added after the
-pool (exact in real arithmetic). Float64 never folds: the rounding of each
-bias's route through the later shifts fails the finite-difference check on
-the biases of dead channels (2.7e-2, where the exact gradient is 0).
 
 Training (``want_cache=True``, float64) also keeps, per cloud and
 channel, the point that attains the max: the critical point set of
@@ -31,8 +25,10 @@ gradient through the pool, so the cache keeps their coordinates alone (84
 per cloud at initialization, 96 after default training, of 1,024), and
 backward() recomputes each point layer's input rows from them, one layer
 at a time (Chen et al., 2016). BLAS gives each row of ``h @ W`` the same
-bits whatever the other rows, so the rows equal the forward's and the
-gradients stay exact (tests check both, and finite differences).
+bits whatever the other rows, so the rows equal the forward's bit for bit
+(up to rounding for a single critical row, whose (1, k) products NumPy
+sends to gemv) and the gradients stay exact (tests check both, and finite
+differences).
 
 Tie rule: a channel routes its gradient to the first point that attains
 the max of ``z = h3 @ W``, before the bias, so a cloud of identical points
@@ -133,14 +129,8 @@ def _pooled_points(params, x, want_critical=False):
     the (n_crit, 3) coordinates of those points."""
     b_dim, n_dim = x.shape[0], x.shape[1]
     last = len(POINT_WIDTHS) - 2
-    w_last, b_last = params[f"point{last}.w"], params[f"point{last}.b"]
+    w_last = params[f"point{last}.w"]
     pooled = np.empty((b_dim, POINT_WIDTHS[-1]), dtype=np.result_type(x, w_last))
-    fold = pooled.dtype != np.float64
-    if fold:  # module docstring
-        shifts = [params["point0.b"]]
-        for i in range(1, last + 1):
-            shifts.append(shifts[-1] @ params[f"point{i}.w"] + params[f"point{i}.b"])
-        b_last = shifts.pop()
     if want_critical:
         slot = np.empty(pooled.shape, dtype=np.intp)
         index, n_rows = [], 0
@@ -149,11 +139,7 @@ def _pooled_points(params, x, want_critical=False):
     for s in range(0, b_dim, step):
         h = x[s : s + step].reshape(-1, POINT_WIDTHS[0])
         for i in range(last):
-            if fold:
-                h = np.matmul(h, params[f"point{i}.w"], out=bufs[i][: len(h)])
-                np.maximum(h, -shifts[i], out=h)
-            else:
-                h = _affine_relu(h, params[f"point{i}.w"], params[f"point{i}.b"], out=bufs[i][: len(h)])
+            h = _affine_relu(h, params[f"point{i}.w"], params[f"point{i}.b"], out=bufs[i][: len(h)])
         z = np.matmul(h, w_last, out=bufs[last][: len(h)]).reshape(-1, n_dim, POINT_WIDTHS[-1])
         if not want_critical:
             z.max(axis=1, out=pooled[s : s + step])
@@ -163,7 +149,7 @@ def _pooled_points(params, x, want_critical=False):
         slot[s : s + step] = inv.reshape(arg.shape) + n_rows
         n_rows += crit.size
         index.append(crit + s * n_dim)
-    pooled += b_last
+    pooled += params[f"point{last}.b"]
     np.maximum(pooled, 0.0, out=pooled)
     if not want_critical:
         return pooled
