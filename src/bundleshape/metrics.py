@@ -55,7 +55,7 @@ def pearson_r(x, y) -> float:
     denom = np.sqrt((dx * dx).sum() * (dy * dy).sum())
     if denom <= 0:
         raise ZeroVariance("an input vector has zero variance")
-    return float((dx * dy).sum() / denom)
+    return float(np.clip((dx * dy).sum() / denom, -1.0, 1.0))  # rounding can pass |r| = 1
 
 
 def nmse(pred, gt) -> float:

@@ -12,11 +12,15 @@ Variants:
   * ``vanilla``    point encoder only, 10 measure outputs
 
 Inference and training share one point encoder. It runs over chunks of
-whole clouds, about POOL_CHUNK_POINTS points each, and max-pools the last
-layer before its bias and ReLU, so no point activation exists at full
-(B, N, d) size. This is exact: float addition and ReLU are monotone, so
-``relu(max(z) + b) == max(relu(z + b))``. Each layer writes into one
-buffer per call, reused by every chunk, with bias and ReLU in place.
+whole clouds, about POOL_CHUNK_POINTS points each (one cloud at the default
+1,024 points), and max-pools the last layer before its bias and ReLU, so no
+point activation exists at full (B, N, d) size. This is exact: float
+addition and ReLU are monotone, so ``relu(max(z) + b) == max(relu(z + b))``.
+Each chunk casts its own rows to the compute dtype, so the input is never
+copied whole, and each layer writes into one buffer per call, reused by
+every chunk, with bias and ReLU in place (the widest is 1 MiB in float32,
+2 MiB in float64). A GEMM row does not depend on its neighbours, so the
+chunking leaves every output bit unchanged.
 
 Training (``want_cache=True``, float64) also keeps, per cloud and
 channel, the point that attains the max: the critical point set of
@@ -28,7 +32,9 @@ at a time (Chen et al., 2016). BLAS gives each row of ``h @ W`` the same
 bits whatever the other rows, so the rows equal the forward's bit for bit
 (up to rounding for a single critical row, whose (1, k) products NumPy
 sends to gemv) and the gradients stay exact (tests check both, and finite
-differences).
+differences). Backward holds at most two row sets at once: the scattered
+pool gradient is built after the widest recompute, and each layer keeps
+only the ReLU mask of its input rows while it forms the next gradient.
 
 Tie rule: a channel routes its gradient to the first point that attains
 the max of ``z = h3 @ W``, before the bias, so a cloud of identical points
@@ -67,9 +73,9 @@ POINT_WIDTHS = (3, 64, 64, 128, 256)
 TAB_WIDTHS = (2, 16, 32)
 HEAD_HIDDEN = 128
 
-# Points per inference chunk; a chunk holds max(1, POOL_CHUNK_POINTS // N)
-# whole clouds, so its widest activation stays small enough for the cache.
-POOL_CHUNK_POINTS = 2048
+# Points per chunk; a chunk holds max(1, POOL_CHUNK_POINTS // N) whole
+# clouds, so its widest activation stays within a core's L2 cache.
+POOL_CHUNK_POINTS = 1024
 _ARG_BLOCK = 16  # points per block of the critical-point search
 
 
@@ -119,9 +125,9 @@ def _first_max(z, pooled):
     return start + (np.take_along_axis(z, block, axis=1) == pooled[:, None]).argmax(axis=1)
 
 
-def _pooled_points(params, x, want_critical=False):
-    """Max-pooled point features of (B, N, 3) clouds, chunk by chunk; the
-    last layer's bias and ReLU are applied once, after the pool.
+def _pooled_points(params, x, dtype, want_critical=False):
+    """Max-pooled point features of (B, N, 3) clouds, chunk by chunk, each
+    cast to ``dtype``; the last layer's bias and ReLU come after the pool.
 
     With ``want_critical`` also returns, for backward(), the flat indices
     (into the B*N points) of the unique critical points (module docstring)
@@ -130,14 +136,14 @@ def _pooled_points(params, x, want_critical=False):
     b_dim, n_dim = x.shape[0], x.shape[1]
     last = len(POINT_WIDTHS) - 2
     w_last = params[f"point{last}.w"]
-    pooled = np.empty((b_dim, POINT_WIDTHS[-1]), dtype=np.result_type(x, w_last))
+    pooled = np.empty((b_dim, POINT_WIDTHS[-1]), dtype=dtype)
     if want_critical:
         slot = np.empty(pooled.shape, dtype=np.intp)
         index, n_rows = [], 0
     step = max(1, POOL_CHUNK_POINTS // n_dim)
-    bufs = [np.empty((min(step, b_dim) * n_dim, d), dtype=pooled.dtype) for d in POINT_WIDTHS[1:]]
+    bufs = [np.empty((min(step, b_dim) * n_dim, d), dtype=dtype) for d in POINT_WIDTHS[1:]]
     for s in range(0, b_dim, step):
-        h = x[s : s + step].reshape(-1, POINT_WIDTHS[0])
+        h = x[s : s + step].reshape(-1, POINT_WIDTHS[0]).astype(dtype, copy=False)
         for i in range(last):
             h = _affine_relu(h, params[f"point{i}.w"], params[f"point{i}.b"], out=bufs[i][: len(h)])
         z = np.matmul(h, w_last, out=bufs[last][: len(h)]).reshape(-1, n_dim, POINT_WIDTHS[-1])
@@ -154,7 +160,7 @@ def _pooled_points(params, x, want_critical=False):
     if not want_critical:
         return pooled
     index = np.concatenate(index)
-    return pooled, index, slot, x[np.divmod(index, n_dim)]
+    return pooled, index, slot, x[np.divmod(index, n_dim)].astype(dtype, copy=False)
 
 
 def param_shapes(variant: str) -> dict[str, tuple[int, ...]]:
@@ -207,24 +213,24 @@ def forward(
     roughly halves the point-encoder time at ~1e-6 relative output error.
     """
     check_variant(variant)
-    x = np.asarray(points, dtype=dtype)
+    x, dtype = np.asarray(points), np.dtype(dtype)
     if x.ndim != 3 or x.shape[1] == 0 or x.shape[2] != 3:
         raise ShapeMismatch(f"points must be (B, N, 3) with N >= 1, got {x.shape}")
-    if x.dtype != np.float64:
-        params = {k: v.astype(x.dtype) for k, v in params.items()}
+    if dtype != np.float64:
+        params = {k: v.astype(dtype) for k, v in params.items()}
     cache: dict = {"variant": variant}
 
     if want_cache:
         pooled, cache["critical_index"], cache["critical_slot"], cache["critical_points"] = (
-            _pooled_points(params, x, want_critical=True)
+            _pooled_points(params, x, dtype, want_critical=True)
         )
     else:
-        pooled = _pooled_points(params, x)
+        pooled = _pooled_points(params, x, dtype)
 
     if uses_tabular(variant):
         if tabular is None:
             raise ShapeMismatch(f"variant {variant!r} requires tabular input")
-        t = np.asarray(tabular, dtype=x.dtype)
+        t = np.asarray(tabular, dtype=dtype)
         if t.ndim != 2 or t.shape != (x.shape[0], TAB_WIDTHS[0]):
             raise ShapeMismatch(f"tabular must be (B, {TAB_WIDTHS[0]}), got {t.shape}")
         cache["tab_acts"] = [t]
@@ -275,18 +281,21 @@ def backward(params, cache, d_out) -> dict[str, np.ndarray]:
             grads[f"tab{i}.b"] = d_t.sum(axis=0)
             d_t = d_t @ params[f"tab{i}.w"].T
 
-    pts = cache["critical_points"]
-    d_h = np.zeros((len(pts), pool_dim), dtype=d_pooled.dtype)
-    d_h[cache["critical_slot"], np.arange(pool_dim)] = d_pooled
+    pts, d_h = cache["critical_points"], None
     for i in reversed(range(len(POINT_WIDTHS) - 1)):
         a = pts  # layer i's input rows, recomputed and dropped per layer
         for j in range(i):
             a = _affine_relu(a, params[f"point{j}.w"], params[f"point{j}.b"])
+        if d_h is None:  # scattered after the widest recompute, not during it
+            d_h = np.zeros((len(pts), pool_dim), dtype=d_pooled.dtype)
+            d_h[cache["critical_slot"], np.arange(pool_dim)] = d_pooled
         grads[f"point{i}.w"] = a.T @ d_h
         grads[f"point{i}.b"] = d_h.sum(axis=0)
         if i:
+            live = a > 0
+            del a
             d_h = d_h @ params[f"point{i}.w"].T
-            d_h *= a > 0
+            d_h *= live
     return grads
 
 

@@ -61,6 +61,15 @@ class TestPearson:
         x, y = rng.normal(size=40), rng.normal(size=40)
         assert pearson_r(x * 2.0**-900, y * 2.0**800) == pearson_r(x, y)
 
+    def test_exactly_linear_stays_within_one(self):
+        # Rounding put these at 1.0000000000000002 before r was clipped.
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        assert pearson_r(x * 1e155, (2 * x + 1) * 1e-10) == 1.0
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            x, s = rng.normal(size=20), rng.normal()
+            assert -1.0 <= pearson_r(x, s * x + 1) <= 1.0
+
 
 class TestNmse:
     def test_exact_match_is_zero(self):

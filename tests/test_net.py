@@ -88,11 +88,12 @@ class TestChunkedInference:
     @pytest.mark.parametrize(
         "batch, n_points",
         [
-            (5, 1024),  # 2 clouds per chunk, last chunk holds one
+            (5, 1024),  # one cloud per chunk
+            (7, 300),  # 3 clouds per chunk, last chunk holds one
             (1, 64),
             (3, 1),
-            (POOL_CHUNK_POINTS + 3, 1),  # one chunk of 2048 clouds, then 3
-            (2, POOL_CHUNK_POINTS + 5),  # one cloud per chunk
+            (2 * POOL_CHUNK_POINTS + 3, 1),  # two chunks of 1024 clouds, then 3
+            (2, 2 * POOL_CHUNK_POINTS + 5),  # one cloud per chunk, wider than a chunk
         ],
     )
     def test_equals_cached_path(self, variant, dtype, batch, n_points):
@@ -111,6 +112,21 @@ class TestChunkedInference:
             exact = forward(params, pts, tab, variant)
             np.testing.assert_allclose(fast, exact, rtol=1e-5, atol=1e-5 * np.abs(exact).max())
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_input_cast_per_chunk(self, dtype):
+        # Each chunk casts its own rows, so float32 and integer clouds must
+        # give exactly what their float64 cast gives.
+        rng = np.random.default_rng(12)
+        params = random_biases(init_params("full", seed=2), rng)
+        tab = rng.normal(size=(7, 2))
+        for pts in (rng.normal(size=(7, 300, 3)).astype(np.float32), rng.integers(-3, 4, size=(7, 300, 3))):
+            ref, ref_cache = forward(params, pts.astype(np.float64), tab, "full", want_cache=True, dtype=dtype)
+            got, cache = forward(params, pts, tab, "full", want_cache=True, dtype=dtype)
+            assert got.dtype == cache["critical_points"].dtype == dtype
+            np.testing.assert_array_equal(got, ref)
+            np.testing.assert_array_equal(cache["critical_points"], ref_cache["critical_points"])
+            np.testing.assert_array_equal(forward(params, pts, tab, "full", dtype=dtype), ref)
+
     def test_subject_batch_memory(self):
         params = init_params("full", seed=0)
         rng = np.random.default_rng(9)
@@ -121,8 +137,9 @@ class TestChunkedInference:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # One full-size float32 activation of the 256-wide layer alone is 77 MB.
-        assert peak < 32 * 2**20
+        # One full-size float32 activation of the 256-wide layer alone is 77 MB;
+        # one cloud per chunk and no float32 copy of the whole input peak near 2.5 MB.
+        assert peak < 4 * 2**20
 
 
 def dense_reference_grads(params, pts, tab, variant, d_out):
@@ -174,10 +191,11 @@ class TestCriticalRows:
     @pytest.mark.parametrize(
         "batch, n_points",
         [
-            (32, 1024),  # one training batch, two clouds per chunk
+            (32, 1024),  # one training batch, one cloud per chunk
+            (7, 300),  # 3 clouds per chunk, last chunk holds one
             (3, 1),
-            (2, POOL_CHUNK_POINTS + 5),  # one cloud per chunk
-            (POOL_CHUNK_POINTS + 3, 1),  # one chunk of 2048 clouds, then 3
+            (2, 2 * POOL_CHUNK_POINTS + 5),  # one cloud per chunk, wider than a chunk
+            (2 * POOL_CHUNK_POINTS + 3, 1),  # two chunks of 1024 clouds, then 3
         ],
     )
     def test_matches_dense_reference(self, variant, batch, n_points):
@@ -226,8 +244,9 @@ class TestCriticalRows:
         finally:
             tracemalloc.stop()
         # One full-size float64 activation of the 256-wide layer alone is 67 MB;
-        # a forward and backward that keep no hidden rows in the cache peak near 12 MB.
-        assert peak < 16 * 2**20
+        # one cloud per chunk, no hidden rows in the cache and a backward that
+        # holds at most two row sets peak near 9 MB.
+        assert peak < 10 * 2**20
         # The point encoder caches coordinates only: at most 256 points per cloud.
         assert cache["critical_points"].size <= len(pts) * POINT_WIDTHS[-1] * 3
 
@@ -245,7 +264,7 @@ class TestRecomputedRows:
         [
             (32, 1024, False),
             (3, 1, False),
-            (2, POOL_CHUNK_POINTS + 5, False),
+            (2, 2 * POOL_CHUNK_POINTS + 5, False),
             (1, 64, True),  # one critical row
         ],
     )
