@@ -22,19 +22,24 @@ every chunk, with bias and ReLU in place (the widest is 1 MiB in float32,
 2 MiB in float64). A GEMM row does not depend on its neighbours, so the
 chunking leaves every output bit unchanged.
 
-Training (``want_cache=True``, float64) also keeps, per cloud and
-channel, the point that attains the max: the critical point set of
-PointNet (Qi et al., CVPR 2017, sec. 4.3). Only those points receive
-gradient through the pool, so the cache keeps their coordinates alone (84
-per cloud at initialization, 96 after default training, of 1,024), and
-backward() recomputes each point layer's input rows from them, one layer
-at a time (Chen et al., 2016). BLAS gives each row of ``h @ W`` the same
-bits whatever the other rows, so the rows equal the forward's bit for bit
-(up to rounding for a single critical row, whose (1, k) products NumPy
-sends to gemv) and the gradients stay exact (tests check both, and finite
-differences). Backward holds at most two row sets at once: the scattered
-pool gradient is built after the widest recompute, and each layer keeps
-only the ReLU mask of its input rows while it forms the next gradient.
+Training (``want_cache=True``) also keeps, per cloud and channel, the
+point that attains the max: the critical point set of PointNet (Qi et al.,
+CVPR 2017, sec. 4.3). Only those points receive gradient through the pool,
+so the cache keeps their coordinates alone (84 per cloud at
+initialization, 98 after default training, of 1,024), in the compute
+dtype, and backward() recomputes each point layer's input rows from them
+against the parameters it is given, one layer at a time (Chen et al.,
+2016). ``train.train`` runs a float32 forward on float64 parameters, so
+its recomputed rows and all its gradients are float64 (mixed precision
+with float64 master weights; each gradient lies within ~5e-7 of its norm
+of a float64 forward's). When forward and backward share float64, as in gradient
+checking, BLAS gives each row of ``h @ W`` the same bits whatever the
+other rows, so the rows equal the forward's bit for bit (up to rounding
+for a single critical row, whose (1, k) products NumPy sends to gemv) and
+the gradients are exact (tests check both, and finite differences).
+Backward holds at most two row sets at once: the scattered pool gradient
+is built after the widest recompute, and each layer keeps only the ReLU
+mask of its input rows while it forms the next gradient.
 
 Tie rule: a channel routes its gradient to the first point that attains
 the max of ``z = h3 @ W``, before the bias, so a cloud of identical points
@@ -208,9 +213,12 @@ def forward(
     among them) and ``critical_points`` (their (n_crit, 3) coordinates,
     from which backward() recomputes the hidden rows).
 
-    ``dtype`` selects the compute precision. Training and gradient
-    checking use the float64 default; inference may pass float32, which
-    roughly halves the point-encoder time at ~1e-6 relative output error.
+    ``dtype`` selects the compute precision. Gradient checking uses the
+    float64 default; training and inference pass float32, which roughly
+    halves the point-encoder time at ~1e-6 relative output error. The
+    cache is in ``dtype`` too; backward() recomputes its rows against the
+    parameters, so float64 parameters and a float64 output gradient give
+    float64 gradients from a float32 cache.
     """
     check_variant(variant)
     x, dtype = np.asarray(points), np.dtype(dtype)

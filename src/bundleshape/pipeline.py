@@ -15,7 +15,7 @@ import numpy as np
 from . import pca as shape_pca
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_hash
-from .features import sample_points
+from .features import extract_tabular, sample_points
 from .io import read_csv, read_native, replace_on_success, write_csv
 from .metrics import EvalReport, evaluate, write_report
 from .net import VARIANTS, backward, forward, init_params, paired_loss
@@ -290,7 +290,7 @@ def run_bench(cfg: RunConfig, variant: str | None = None) -> dict:
                 for i, b in enumerate(bundles)
             ]
         )
-        tab = np.array([[b.n_streamlines, b.n_points] for b in bundles], dtype=np.float64)
+        tab = np.array([extract_tabular(b) for b in bundles], dtype=np.float64)
         predict_measures(ckpt, pts, tab)
         model_s = min(model_s, time.perf_counter() - t0)
     return {"n_bundles": len(bundles), "oracle_s": oracle_s, "model_s": model_s}

@@ -31,6 +31,11 @@ __all__ = [
 ]
 
 
+# Compute dtype of every forward here: training (its cache feeds the float64
+# backward), validation and predict_measures.
+_FORWARD_DTYPE = np.float32
+
+
 @dataclass(frozen=True)
 class TrainData:
     points: np.ndarray  # (n, N, 3) centered clouds
@@ -83,10 +88,12 @@ def _measures_from_outputs(ckpt: Checkpoint, outputs: np.ndarray) -> np.ndarray:
 def train(data: TrainData, cfg: TrainConfig):
     """Train on the train split; returns (Checkpoint, per-epoch log rows).
 
-    The validation forward runs in float32, as in ``predict_measures``; no parameter
-    depends on ``val_loss``. Raises FloatingPointError (and no NumPy overflow warnings)
-    at the end of the first epoch whose train or val loss is not finite: a diverged run
-    yields no checkpoint."""
+    Mixed precision: every forward runs in float32 (``_FORWARD_DTYPE``, as in
+    ``predict_measures``), while the parameters, ``backward`` (which recomputes the
+    cached critical rows against them), ``paired_loss`` and Adam stay float64; no
+    parameter depends on ``val_loss``. Raises FloatingPointError (and no NumPy overflow
+    warnings) at the end of the first epoch whose train or val loss is not finite: a
+    diverged run yields no checkpoint."""
     idx_train = data.indices("train")
     idx_val = data.indices("val")
     if idx_train.size == 0 or idx_val.size == 0:
@@ -124,7 +131,9 @@ def train(data: TrainData, cfg: TrainConfig):
             batch = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             pts = data.points[batch]
             tb = tab[batch] if tab is not None else None
-            preds, cache = forward(params, pts, tb, cfg.variant, want_cache=True)
+            preds, cache = forward(
+                params, pts, tb, cfg.variant, want_cache=True, dtype=_FORWARD_DTYPE
+            )
             loss, d_a, d_b = paired_loss(
                 preds[:half], preds[half:], targets[batch[:half]], targets[batch[half:]],
                 cfg.lam_pair,
@@ -135,7 +144,9 @@ def train(data: TrainData, cfg: TrainConfig):
         train_loss = epoch_loss / max(n_batches, 1)
 
         tab_val = tab[idx_val] if tab is not None else None
-        val_preds = forward(params, data.points[idx_val], tab_val, cfg.variant, dtype=np.float32)
+        val_preds = forward(
+            params, data.points[idx_val], tab_val, cfg.variant, dtype=_FORWARD_DTYPE
+        )
         val_loss = float(np.mean((val_preds - targets[idx_val]) ** 2))
         if not np.isfinite([train_loss, val_loss]).all():
             raise FloatingPointError(
@@ -173,7 +184,7 @@ def predict_measures(ckpt: Checkpoint, points: np.ndarray, tabular_raw: np.ndarr
         if ckpt.standardizer is None:
             raise ValueError("checkpoint is missing the tabular standardizer")
         tab = ckpt.standardizer.apply_many(tabular_raw)
-    outputs = forward(ckpt.params, points, tab, ckpt.config.variant, dtype=np.float32)
+    outputs = forward(ckpt.params, points, tab, ckpt.config.variant, dtype=_FORWARD_DTYPE)
     return _measures_from_outputs(ckpt, outputs.astype(np.float64))
 
 

@@ -8,7 +8,8 @@ import pytest
 
 from bundleshape.checkpoint import TrainConfig, load_checkpoint, save_checkpoint
 from bundleshape.io import read_native
-from bundleshape.net import forward
+from bundleshape.net import backward, forward, init_params, paired_loss
+from bundleshape.optim import adam_step
 from bundleshape.shapes import compute_measures
 from bundleshape.synth import DatasetConfig, generate_dataset
 from bundleshape.train import (
@@ -123,11 +124,16 @@ class TestTrain:
         assert log[-1]["val_loss"] == float(np.mean((preds - targets) ** 2))
 
         # Validation precision cannot leak into training: the same run with
-        # a float64 validation forward ends with the same parameters.
-        def float64_forward(*args, **kw):
-            return forward(*args, **{**kw, "dtype": np.float64})
+        # a float64 validation forward (the call without a cache) ends with
+        # the same parameters.
+        def float64_validation(*args, **kw):
+            if not kw.get("want_cache"):
+                kw["dtype"] = np.float64
+            return forward(*args, **kw)
 
-        monkeypatch.setattr(importlib.import_module("bundleshape.train"), "forward", float64_forward)
+        monkeypatch.setattr(
+            importlib.import_module("bundleshape.train"), "forward", float64_validation
+        )
         ckpt64, log64 = train(data, tiny_config(epochs=1))
         assert log64[-1]["val_loss"] != log[-1]["val_loss"]
         for name in ckpt.params:
@@ -150,7 +156,66 @@ class TestTrain:
             epoch = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # ~12.2 MB: one batch's forward and backward (~9.5 MB) plus Adam's two
+        # ~11.6 MiB: one batch's forward and backward (~8.9 MiB) plus Adam's two
         # moments and the epoch's small arrays. Hidden rows in the cache
         # (~5.5 MB a batch), kept or left over from the last batch, exceed it.
         assert epoch < 13 * 2**20
+
+
+class TestMixedPrecision:
+    """Training runs its forward in float32; parameters, gradients and Adam stay float64."""
+
+    def test_every_forward_runs_in_float32(self, tiny_data, monkeypatch):
+        _, data = tiny_data
+        seen = []
+
+        def spy(*args, **kw):
+            result = forward(*args, **kw)
+            out = result[0] if kw.get("want_cache") else result
+            seen.append((bool(kw.get("want_cache")), out.dtype))
+            return result
+
+        monkeypatch.setattr(importlib.import_module("bundleshape.train"), "forward", spy)
+        train(data, tiny_config(epochs=2))
+        assert {cached for cached, _ in seen} == {True, False}
+        assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}
+
+    def test_parameters_gradients_and_moments_stay_float64(self, tiny_data, monkeypatch):
+        _, data = tiny_data
+        states, grad_dtypes = [], set()
+
+        def spy(state, params, grads):
+            states.append(state)
+            grad_dtypes.update(g.dtype for g in grads.values())
+            adam_step(state, params, grads)
+
+        monkeypatch.setattr(importlib.import_module("bundleshape.train"), "adam_step", spy)
+        ckpt, _ = train(data, tiny_config(epochs=2))
+        assert grad_dtypes == {np.dtype(np.float64)}
+        assert {p.dtype for p in ckpt.params.values()} == {np.dtype(np.float64)}
+        opt = states[-1]
+        assert set(opt.m) == set(opt.v) == set(ckpt.params)
+        moments = [*opt.m.values(), *opt.v.values()]
+        assert {m.dtype for m in moments} == {np.dtype(np.float64)}
+
+    def test_float32_cache_gradients_match_float64(self):
+        """One training step's gradients from the float32 cache agree with the
+        float64 cache's to 1e-5 of each parameter's gradient norm (4.4e-7 seen):
+        backward recomputes the critical rows against the float64 weights."""
+        rng = np.random.default_rng(0)
+        pts = rng.normal(size=(32, 1024, 3))
+        tab = rng.normal(size=(32, 2))
+        y = rng.normal(size=(32, 5))
+        params = init_params("full", seed=0)
+        lam = TrainConfig().lam_pair
+
+        def step_grads(dtype):
+            preds, cache = forward(params, pts, tab, "full", want_cache=True, dtype=dtype)
+            _, d_a, d_b = paired_loss(preds[:16], preds[16:], y[:16], y[16:], lam)
+            return backward(params, cache, np.concatenate([d_a, d_b]))
+
+        g32, g64 = step_grads(np.float32), step_grads(np.float64)
+        assert set(g32) == set(g64) == set(params)
+        for name, g in g64.items():
+            assert g32[name].dtype == g.dtype == np.float64, name
+            assert np.linalg.norm(g32[name] - g) <= 1e-5 * np.linalg.norm(g), name
