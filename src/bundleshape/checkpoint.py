@@ -1,24 +1,23 @@
 """Versioned checkpoint container: network weights, PCA model, tabular
 standardizer, and the training configuration in one self-describing file.
 
-Layout: magic ``T2S1``, version byte, little-endian u32 JSON header
-length, JSON header (config plus an array name/shape table), then the
-raw array payloads as little-endian float64 in table order, up to the end
-of the file. Every array is a scalar, vector or matrix. Round trips are
-bit-exact.
+Layout: ``io.PROLOGUE`` (magic ``T2S1``, version byte, little-endian u32
+JSON header length), JSON header (config plus an array name/shape table),
+then the raw array payloads as little-endian float64 in table order, up to
+the end of the file. Every array is a scalar, vector or matrix. Round trips
+are bit-exact.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .features import TabStandardizer
-from .io import BadMagic, BadVersion, MalformedHeader, TruncatedFile
+from .io import PROLOGUE, MalformedHeader, TruncatedFile, unpack_prologue
 from .net import check_variant, param_shapes
 from .pca import PcaModel
 
@@ -70,14 +69,7 @@ class Checkpoint:
     standardizer: TabStandardizer | None  # None for point-only variants
 
 
-_PCA_FIELDS = (
-    "feature_mean",
-    "feature_sd",
-    "components",
-    "explained_variance",
-    "explained_variance_ratio",
-    "score_sd",
-)
+_PCA_FIELDS = tuple(f.name for f in fields(PcaModel))  # in declared order, as stored
 
 
 def save_checkpoint(ckpt: Checkpoint) -> bytes:
@@ -97,38 +89,25 @@ def save_checkpoint(ckpt: Checkpoint) -> bytes:
         "arrays": table,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    parts = [
-        CHECKPOINT_MAGIC,
-        struct.pack("<B", CHECKPOINT_VERSION),
-        struct.pack("<I", len(header_bytes)),
-        header_bytes,
-    ]
+    parts = [PROLOGUE.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(header_bytes)), header_bytes]
     for entry in table:
         parts.append(arrays[entry["name"]].astype("<f8").tobytes())
     return b"".join(parts)
 
 
 def load_checkpoint(data: bytes) -> Checkpoint:
-    if len(data) < 4:
-        raise TruncatedFile("shorter than magic")
-    if data[:4] != CHECKPOINT_MAGIC:
-        raise BadMagic(f"bad checkpoint magic {data[:4]!r}")
-    if len(data) < 9:
-        raise TruncatedFile("missing version/header length")
-    if data[4] != CHECKPOINT_VERSION:
-        raise BadVersion(f"unsupported checkpoint version {data[4]}")
-    (hlen,) = struct.unpack_from("<I", data, 5)
-    if len(data) < 9 + hlen:
+    hlen = unpack_prologue(data, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
+    pos = PROLOGUE.size + hlen  # where the arrays start
+    if len(data) < pos:
         raise TruncatedFile("header truncated")
     try:
-        header = json.loads(data[9 : 9 + hlen].decode("utf-8"))
+        header = json.loads(data[PROLOGUE.size : pos].decode("utf-8"))
         table = [(entry["name"], list(entry["shape"])) for entry in header["arrays"]]
         config = TrainConfig(**header["config"])
         has_standardizer = header["has_standardizer"]
     except (KeyError, TypeError, ValueError) as exc:  # ValueError: not UTF-8 JSON, bad config value
         raise MalformedHeader(f"bad checkpoint header: {exc!r}") from None
 
-    pos = 9 + hlen
     arrays: dict[str, np.ndarray] = {}
     for name, shape in table:
         if not isinstance(name, str) or len(shape) > 2 or not all(type(n) is int and n >= 0 for n in shape):

@@ -13,6 +13,7 @@ import sys
 
 from .config import ConfigError, describe_keys, load_config
 from .net import VARIANTS
+from .synth import FAMILIES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -27,6 +28,13 @@ def _at_least_one(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _families(text: str) -> tuple[str, ...]:
+    names = tuple(f.strip() for f in text.split(",") if f.strip())
+    if not names or not set(names) <= set(FAMILIES):
+        raise argparse.ArgumentTypeError(f"expected families from {','.join(FAMILIES)}, got {text!r}")
+    return names
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,6 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if families:
             p.add_argument(
                 "--families",
+                type=_families,
                 default=None,
                 help="comma-separated generator families to keep (e.g. cylinder,arc)",
             )
@@ -69,12 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _families(arg) -> tuple | None:
-    if arg is None:
-        return None
-    return tuple(f.strip() for f in arg.split(",") if f.strip())
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     from . import pipeline
@@ -96,10 +99,10 @@ def main(argv=None) -> int:
             out = pipeline.run_pca(cfg)
             print(f"wrote {out}")
         elif args.command == "train":
-            out = pipeline.run_train(cfg, args.variant, _families(args.families))
+            out = pipeline.run_train(cfg, args.variant, args.families)
             print(f"wrote {out}")
         elif args.command == "predict":
-            out = pipeline.run_predict(cfg, args.variant, args.split, _families(args.families))
+            out = pipeline.run_predict(cfg, args.variant, args.split, args.families)
             print(f"wrote {out}")
         elif args.command == "eval":
             report = pipeline.run_eval(cfg, args.variant)

@@ -52,6 +52,8 @@ __all__ = [
     "write_polydata",
     "read_native",
     "write_native",
+    "PROLOGUE",
+    "unpack_prologue",
     "replace_on_success",
     "write_csv",
     "read_csv",
@@ -306,38 +308,48 @@ def write_polydata(bundle: Bundle, title: str = "bundleshape streamlines") -> by
 # Native binary format
 
 
+PROLOGUE = struct.Struct("<4sBI")  # what opens a bundle or checkpoint file: magic, version byte, u32
+
+
+def unpack_prologue(data: bytes, magic: bytes, version: int, what: str) -> int:
+    """The u32 of the :data:`PROLOGUE` that opens ``data``, a ``what`` file. Raises
+    TruncatedFile for a file shorter than the prologue, BadMagic for another
+    magic and BadVersion for another version."""
+    if len(data) < 4:
+        raise TruncatedFile("shorter than magic")
+    if data[:4] != magic:
+        raise BadMagic(f"bad {what} magic {data[:4]!r}")
+    if len(data) < PROLOGUE.size:
+        raise TruncatedFile(f"missing version or u32 after the {what} magic")
+    if data[4] != version:
+        raise BadVersion(f"unsupported {what} version {data[4]}")
+    return PROLOGUE.unpack_from(data)[2]
+
+
 def write_native(bundle: Bundle) -> bytes:
     """Serialize to the native binary format (32-bit little-endian coords)."""
     off = bundle.offsets
     words = np.insert(bundle.points.astype("<f4").view("<u4").ravel(), 3 * off[:-1], np.diff(off))
-    return NATIVE_MAGIC + struct.pack("<BI", NATIVE_VERSION, bundle.n_streamlines) + words.tobytes()
+    return PROLOGUE.pack(NATIVE_MAGIC, NATIVE_VERSION, bundle.n_streamlines) + words.tobytes()
 
 
 def read_native(data: bytes) -> Bundle:
     """Read the native binary format; bit-exact at 32-bit precision.
 
-    After the header (magic, version, NoS) come little-endian 4-byte words:
+    After the prologue (magic, version, NoS) come little-endian 4-byte words:
     per streamline its point count k, then its 3k float32 coordinates, split
     by :func:`_split_records`. Bytes after the last streamline are an error.
     """
-    if len(data) < 4:
-        raise TruncatedFile("shorter than magic")
-    if data[:4] != NATIVE_MAGIC:
-        raise BadMagic(f"bad magic {data[:4]!r}")
-    if len(data) < 9:
-        raise TruncatedFile("missing version or streamline count")
-    version = data[4]
-    if version != NATIVE_VERSION:
-        raise BadVersion(f"unsupported version {version}")
-    (nos,) = struct.unpack_from("<I", data, 5)
+    nos = unpack_prologue(data, NATIVE_MAGIC, NATIVE_VERSION, "bundle")
     if nos == 0:
         raise TruncatedFile("bundle with zero streamlines")
-    words = np.frombuffer(data, dtype="<u4", count=(len(data) - 9) // 4, offset=9)
+    body = len(data) - PROLOGUE.size
+    words = np.frombuffer(data, dtype="<u4", count=body // 4, offset=PROLOGUE.size)
     coords, offsets, end = _split_records(words, nos, 3)
     if end > words.shape[0]:
         raise TruncatedFile(f"file ends inside streamline {nos - 1} of {nos}")
-    if 9 + 4 * end != len(data):
-        raise MalformedHeader(f"{len(data) - 9 - 4 * end} trailing bytes after the last streamline")
+    if 4 * end != body:
+        raise MalformedHeader(f"{body - 4 * end} trailing bytes after the last streamline")
     with np.errstate(invalid="ignore"):  # a signalling NaN warns when cast; Bundle refuses it
         points = coords.view("<f4").reshape(-1, 3).astype(np.float64)
     return Bundle(points, offsets)

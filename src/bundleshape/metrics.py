@@ -43,12 +43,19 @@ def _pow2_scaled(*arrays):
     return [np.ldexp(a, -exp) for a in arrays]
 
 
+def _paired_vectors(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``b`` as float64 arrays; ValueError unless they are two
+    equal-length 1-d vectors with n >= 2."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1 or a.shape[0] < 2:
+        raise ValueError("need two equal-length 1-d vectors with n >= 2")
+    return a, b
+
+
 def pearson_r(x, y) -> float:
     """Sample Pearson correlation of two equal-length vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1 or x.shape[0] < 2:
-        raise ValueError("need two equal-length 1-d vectors with n >= 2")
+    x, y = _paired_vectors(x, y)
     x, y = _pow2_scaled(x) + _pow2_scaled(y)
     dx = x - x.mean()
     dy = y - y.mean()
@@ -64,11 +71,7 @@ def nmse(pred, gt) -> float:
     Near 0 means a close match; a predictor worse than the ground-truth
     mean can exceed 1.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if pred.shape != gt.shape or pred.ndim != 1 or pred.shape[0] < 2:
-        raise ValueError("need two equal-length 1-d vectors with n >= 2")
-    pred, gt = _pow2_scaled(pred, gt)
+    pred, gt = _pow2_scaled(*_paired_vectors(pred, gt))
     var = gt.var()
     if var <= 0:
         raise ZeroVariance("ground truth has zero variance")
@@ -84,10 +87,7 @@ def fisher_z(r: float) -> float:
 
 def paired_t(a, b) -> tuple[float, int, float]:
     """Paired t-test; returns (t, dof, two-sided p)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1 or a.shape[0] < 2:
-        raise ValueError("need two equal-length 1-d vectors with n >= 2")
+    a, b = _paired_vectors(a, b)
     d = a - b
     n = d.shape[0]
     sd = d.std(ddof=1)

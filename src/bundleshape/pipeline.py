@@ -15,19 +15,12 @@ import numpy as np
 from . import pca as shape_pca
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_hash
-from .features import extract_tabular, sample_points
 from .io import read_csv, read_native, replace_on_success, write_csv
 from .metrics import EvalReport, evaluate, write_report
 from .net import VARIANTS, backward, forward, init_params, paired_loss
 from .shapes import MEASURE_NAMES, compute_measures
 from .synth import generate_dataset, read_manifest
-from .train import (
-    load_training_arrays,
-    predict_measures,
-    sample_seed_for,
-    train,
-    write_train_log,
-)
+from .train import load_training_arrays, model_inputs, predict_measures, train, write_train_log
 
 __all__ = [
     "stamp",
@@ -182,11 +175,15 @@ def run_predict(
     split: str = "test",
     families: tuple | None = None,
 ) -> Path:
-    """Predict measures for one split; writes the predictions CSV."""
+    """Predict measures for one split; writes the predictions CSV. Raises
+    ValueError, before the CSV is replaced, when the split selects no bundle."""
     variant = variant or cfg.variant
     ckpt = load_checkpoint(checkpoint_path(cfg, variant).read_bytes())
     rows, data = _load_data(cfg, families)
     idx = data.indices(split)
+    if idx.size == 0:
+        chosen = f" of families {','.join(families)}" if families is not None else ""
+        raise ValueError(f"no bundles to predict in the {split} split{chosen}")
     preds = predict_measures(ckpt, data.points[idx], data.tabular[idx])
     out = predictions_path(cfg, variant)
     write_measures_csv(out, [rows[i].path for i in idx], preds, stamp(cfg))
@@ -284,13 +281,6 @@ def run_bench(cfg: RunConfig, variant: str | None = None) -> dict:
     model_s = np.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        pts = np.stack(
-            [
-                sample_points(b, cfg.n_points, seed=sample_seed_for(cfg.master_seed, i))
-                for i, b in enumerate(bundles)
-            ]
-        )
-        tab = np.array([extract_tabular(b) for b in bundles], dtype=np.float64)
-        predict_measures(ckpt, pts, tab)
+        predict_measures(ckpt, *model_inputs(bundles, cfg.n_points, cfg.master_seed))
         model_s = min(model_s, time.perf_counter() - t0)
     return {"n_bundles": len(bundles), "oracle_s": oracle_s, "model_s": model_s}

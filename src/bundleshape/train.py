@@ -24,6 +24,7 @@ from .optim import AdamState, adam_step, lr_at
 __all__ = [
     "TrainData",
     "sample_seed_for",
+    "model_inputs",
     "load_training_arrays",
     "train",
     "predict_measures",
@@ -52,6 +53,22 @@ def sample_seed_for(master_seed: int, index: int) -> int:
     return (master_seed << 20) + index
 
 
+def model_inputs(bundles, n_points: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The network inputs of ``bundles``, an iterable read once: the (n, N, 3)
+    float64 clouds, bundle i's drawn by ``sample_points`` at
+    ``sample_seed_for(seed, i)``, and the (n, 2) raw (NoS, NoP) rows. The one
+    place clouds are sampled; it holds one bundle at a time."""
+    tabular = []
+
+    def clouds():
+        for i, bundle in enumerate(bundles):
+            tabular.append(extract_tabular(bundle))
+            yield sample_points(bundle, n_points, seed=sample_seed_for(seed, i))
+
+    points = np.fromiter(clouds(), np.dtype((np.float64, (n_points, 3))))
+    return points, np.array(tabular, dtype=np.float64).reshape(-1, 2)
+
+
 def load_training_arrays(manifest_rows, measures, n_points: int, seed: int) -> TrainData:
     """Load bundle files from a manifest and build the sample arrays.
 
@@ -60,15 +77,10 @@ def load_training_arrays(manifest_rows, measures, n_points: int, seed: int) -> T
     measures = np.asarray(measures, dtype=np.float64)
     if measures.shape != (len(manifest_rows), 10):
         raise ValueError(f"measures must be ({len(manifest_rows)}, 10), got {measures.shape}")
-    points = np.empty((len(manifest_rows), n_points, 3))
-    tabular = np.empty((len(manifest_rows), 2))
-    splits = []
-    for i, row in enumerate(manifest_rows):
-        bundle = read_native(Path(row.path).read_bytes())
-        points[i] = sample_points(bundle, n_points, seed=sample_seed_for(seed, i))
-        tabular[i] = extract_tabular(bundle)
-        splits.append(row.split)
-    return TrainData(points=points, tabular=tabular, measures=measures, splits=tuple(splits))
+    bundles = (read_native(Path(row.path).read_bytes()) for row in manifest_rows)
+    points, tabular = model_inputs(bundles, n_points, seed)
+    splits = tuple(row.split for row in manifest_rows)
+    return TrainData(points=points, tabular=tabular, measures=measures, splits=splits)
 
 
 def _targets_for(variant: str, model: shape_pca.PcaModel, measures: np.ndarray) -> np.ndarray:

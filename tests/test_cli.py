@@ -4,12 +4,15 @@ import dataclasses
 import shutil
 import warnings
 
+import numpy as np
 import pytest
 from test_config import MALFORMED_CONFIGS
 
 from bundleshape import pipeline
 from bundleshape.checkpoint import load_checkpoint, save_checkpoint
 from bundleshape.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
+from bundleshape.config import load_config
+from bundleshape.synth import FAMILIES, read_manifest
 
 TINY_INI = """\
 [paths]
@@ -311,6 +314,34 @@ class TestPipeline:
         assert main(["train", *cfg, "--variant", "pca", "--families", "cylinder,arc"]) == EXIT_OK
         assert main(["predict", *cfg, "--variant", "pca", "--families", "helix"]) == EXIT_OK
 
+    def test_families_outside_the_generator_refused(self, tiny_run, tmp_path, capsys):
+        cfg = copy_run(tiny_run, tmp_path)
+        assert main(["train", *cfg]) == EXIT_OK
+        assert main(["predict", *cfg]) == EXIT_OK
+        preds = tmp_path / "run" / "predictions_full.csv"
+        before = preds.read_bytes()
+        for command in ("train", "predict"):
+            for families in ("helx", "cylinder,helx", ","):
+                with pytest.raises(SystemExit) as exc:
+                    main([command, *cfg, "--families", families])
+                assert exc.value.code == EXIT_CONFIG
+                assert "expected families from cylinder,arc,helix" in capsys.readouterr().err
+        assert preds.read_bytes() == before
+
+    def test_empty_split_selection_keeps_predictions(self, tiny_run, tmp_path, capsys):
+        cfg = copy_run(tiny_run, tmp_path)
+        rows = read_manifest(tmp_path / "run" / "bundles" / "manifest.csv")
+        family = next(f for f in FAMILIES if (f, "val") not in {(r.family, r.split) for r in rows})
+        assert main(["train", *cfg]) == EXIT_OK
+        assert main(["predict", *cfg]) == EXIT_OK
+        preds = tmp_path / "run" / "predictions_full.csv"
+        before = preds.read_bytes()
+        capsys.readouterr()
+        assert main(["predict", *cfg, "--split", "val", "--families", family]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: no bundles to predict in the val split of families {family}")
+        assert preds.read_bytes() == before
+
     def test_predict_split_flag(self, tiny_run):
         _, cfg = tiny_run
         assert main(["predict", *cfg, "--split", "val"]) == EXIT_OK
@@ -330,3 +361,23 @@ class TestPipeline:
         _, cfg = tiny_run
         assert main(["bench", *cfg]) == EXIT_OK
         assert "subject-equivalent" in capsys.readouterr().out
+
+    def test_bench_predicts_the_training_inputs(self, tiny_run, tmp_path, monkeypatch):
+        cfg = copy_run(tiny_run, tmp_path)
+        assert main(["train", *cfg]) == EXIT_OK
+        run_cfg = load_config(cfg[1])
+        seen = []
+        predict = pipeline.predict_measures
+
+        def spy(ckpt, points, tabular):
+            seen.append((points, tabular))
+            return predict(ckpt, points, tabular)
+
+        monkeypatch.setattr(pipeline, "predict_measures", spy)
+        pipeline.run_bench(run_cfg)
+        _, data = pipeline._load_data(run_cfg)
+        n = pipeline.SUBJECT_EQUIVALENT_BUNDLES
+        assert len(seen) == 4  # a warm-up, then three timed repeats
+        for points, tabular in seen[1:]:
+            assert np.array_equal(points, data.points[:n])
+            assert np.array_equal(tabular, data.tabular[:n])

@@ -2,11 +2,13 @@
 
 import importlib
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bundleshape.checkpoint import TrainConfig, load_checkpoint, save_checkpoint
+from bundleshape.features import extract_tabular, sample_points
 from bundleshape.io import read_native
 from bundleshape.net import backward, forward, init_params, paired_loss
 from bundleshape.optim import adam_step
@@ -15,7 +17,9 @@ from bundleshape.synth import DatasetConfig, generate_dataset
 from bundleshape.train import (
     TrainData,
     load_training_arrays,
+    model_inputs,
     predict_measures,
+    sample_seed_for,
     train,
     write_train_log,
 )
@@ -40,6 +44,36 @@ def tiny_config(**kw):
     base = dict(variant="full", batch_size=8, epochs=2, n_points=64, pca_k=5, seed=0)
     base.update(kw)
     return TrainConfig(**base)
+
+
+class TestModelInputs:
+    def test_samples_each_bundle_at_its_seed(self, tiny_data):
+        rows, _ = tiny_data
+        bundles = [read_native(Path(r.path).read_bytes()) for r in rows[:5]]
+        points, tabular = model_inputs(iter(bundles), 64, seed=9)
+        assert points.shape == (5, 64, 3) and points.dtype == np.float64
+        assert tabular.shape == (5, 2) and tabular.dtype == np.float64
+        for i, b in enumerate(bundles):
+            assert np.array_equal(points[i], sample_points(b, 64, seed=sample_seed_for(9, i)))
+            assert np.array_equal(tabular[i], extract_tabular(b))
+
+    def test_no_bundles(self):
+        points, tabular = model_inputs(iter(()), 64, seed=0)
+        assert points.shape == (0, 64, 3) and tabular.shape == (0, 2)
+
+    def test_training_arrays_hold_one_bundle_at_a_time(self, tiny_data):
+        rows, data = tiny_data
+        decoded = sum(read_native(Path(r.path).read_bytes()).points.nbytes for r in rows)
+        tracemalloc.start()
+        try:
+            again = load_training_arrays(rows, data.measures, n_points=64, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(again.points, data.points)
+        # ~2.1 MB: the largest bundle's decode (0.62 MB of points) and the
+        # clouds; holding all 24 decoded bundles takes 5.7 MB.
+        assert peak < decoded / 2
 
 
 class TestTrain:
