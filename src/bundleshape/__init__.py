@@ -3,7 +3,7 @@
 A fast voxel-based oracle computes ten shape measures from streamline
 geometry; a multimodal Siamese dual-encoder regressor predicts the same
 measures from sampled point clouds and scalar tractography descriptors
-through a five-component PCA latent space.
+through a ``pca_k``-component (default five) PCA latent space.
 """
 
 from .io import (

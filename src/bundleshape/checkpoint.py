@@ -126,7 +126,7 @@ def load_checkpoint(data: bytes) -> Checkpoint:
         return arrays[name]
 
     params = {}
-    for name, shape in param_shapes(config.variant).items():
+    for name, shape in param_shapes(config.variant, config.pca_k).items():
         params[name] = array(f"net.{name}")
         if params[name].shape != shape:
             raise MalformedHeader(f"array 'net.{name}' has shape {params[name].shape}, not {shape}")

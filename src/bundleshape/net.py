@@ -6,8 +6,8 @@ Tabular encoder: affine+ReLU 2->16->32. Fusion head: affine+ReLU+affine
 down to the output dimension.
 
 Variants:
-  * ``full``       point + tabular encoders, 5 latent-score outputs
-  * ``pca``        point encoder only, 5 latent-score outputs
+  * ``full``       point + tabular encoders, pca_k latent-score outputs
+  * ``pca``        point encoder only, pca_k latent-score outputs
   * ``multimodal`` point + tabular encoders, 10 measure outputs
   * ``vanilla``    point encoder only, 10 measure outputs
 
@@ -64,6 +64,7 @@ __all__ = [
     "ShapeMismatch",
     "check_variant",
     "uses_tabular",
+    "predicts_scores",
     "output_dim",
     "param_shapes",
     "init_params",
@@ -93,9 +94,13 @@ def uses_tabular(variant: str) -> bool:
     return variant in ("multimodal", "full")
 
 
-def output_dim(variant: str) -> int:
+def predicts_scores(variant: str) -> bool:
     check_variant(variant)
-    return 5 if variant in ("pca", "full") else 10
+    return variant in ("pca", "full")
+
+
+def output_dim(variant: str, pca_k: int = 5) -> int:
+    return pca_k if predicts_scores(variant) else 10
 
 
 def check_variant(variant: str) -> None:
@@ -168,13 +173,13 @@ def _pooled_points(params, x, dtype, want_critical=False):
     return pooled, index, slot, x[np.divmod(index, n_dim)].astype(dtype, copy=False)
 
 
-def param_shapes(variant: str) -> dict[str, tuple[int, ...]]:
+def param_shapes(variant: str, pca_k: int = 5) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter of a variant, in initialization order."""
     layers = [(f"point{i}", a, b) for i, (a, b) in enumerate(zip(POINT_WIDTHS, POINT_WIDTHS[1:]))]
     if uses_tabular(variant):
         layers += [(f"tab{i}", a, b) for i, (a, b) in enumerate(zip(TAB_WIDTHS, TAB_WIDTHS[1:]))]
     fused = POINT_WIDTHS[-1] + (TAB_WIDTHS[-1] if uses_tabular(variant) else 0)
-    layers += [("head0", fused, HEAD_HIDDEN), ("head1", HEAD_HIDDEN, output_dim(variant))]
+    layers += [("head0", fused, HEAD_HIDDEN), ("head1", HEAD_HIDDEN, output_dim(variant, pca_k))]
     shapes: dict[str, tuple[int, ...]] = {}
     for name, fan_in, fan_out in layers:
         shapes[f"{name}.w"] = (fan_in, fan_out)
@@ -182,12 +187,12 @@ def param_shapes(variant: str) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_params(variant: str, seed: int = 0) -> dict[str, np.ndarray]:
+def init_params(variant: str, seed: int = 0, pca_k: int = 5) -> dict[str, np.ndarray]:
     """He-uniform weights, zero biases, seeded and deterministic."""
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
     return {
         name: _he_uniform(rng, shape[0], shape) if name.endswith(".w") else np.zeros(shape)
-        for name, shape in param_shapes(variant).items()
+        for name, shape in param_shapes(variant, pca_k).items()
     }
 
 

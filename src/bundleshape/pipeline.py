@@ -175,18 +175,22 @@ def run_predict(
     split: str = "test",
     families: tuple | None = None,
 ) -> Path:
-    """Predict measures for one split; writes the predictions CSV. Raises
-    ValueError, before the CSV is replaced, when the split selects no bundle."""
+    """Predict measures for one split from the manifest and the checkpoint
+    alone, decoding only that split's bundles; writes the predictions CSV.
+    Raises ValueError, before the CSV is replaced, when the split selects no bundle."""
     variant = variant or cfg.variant
     ckpt = load_checkpoint(checkpoint_path(cfg, variant).read_bytes())
-    rows, data = _load_data(cfg, families)
-    idx = data.indices(split)
-    if idx.size == 0:
-        chosen = f" of families {','.join(families)}" if families is not None else ""
-        raise ValueError(f"no bundles to predict in the {split} split{chosen}")
-    preds = predict_measures(ckpt, data.points[idx], data.tabular[idx])
+    rows = read_manifest(manifest_path(cfg))
+    rows = [r for r in rows if families is None or r.family in families]
+    # A row's position in the family-filtered manifest seeds its cloud, as in training.
+    chosen = [(i, r) for i, r in enumerate(rows) if r.split == split]
+    if not chosen:
+        which = f" of families {','.join(families)}" if families is not None else ""
+        raise ValueError(f"no bundles to predict in the {split} split{which}")
+    bundles = ((i, read_native(Path(r.path).read_bytes())) for i, r in chosen)
+    preds = predict_measures(ckpt, *model_inputs(bundles, cfg.n_points, cfg.master_seed))
     out = predictions_path(cfg, variant)
-    write_measures_csv(out, [rows[i].path for i in idx], preds, stamp(cfg))
+    write_measures_csv(out, [r.path for _, r in chosen], preds, stamp(cfg))
     return out
 
 
@@ -281,6 +285,6 @@ def run_bench(cfg: RunConfig, variant: str | None = None) -> dict:
     model_s = np.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        predict_measures(ckpt, *model_inputs(bundles, cfg.n_points, cfg.master_seed))
+        predict_measures(ckpt, *model_inputs(enumerate(bundles), cfg.n_points, cfg.master_seed))
         model_s = min(model_s, time.perf_counter() - t0)
     return {"n_bundles": len(bundles), "oracle_s": oracle_s, "model_s": model_s}

@@ -18,7 +18,7 @@ from . import pca as shape_pca
 from .checkpoint import Checkpoint, TrainConfig
 from .features import extract_tabular, fit_standardizer, sample_points
 from .io import read_native, write_csv
-from .net import ShapeMismatch, backward, forward, init_params, paired_loss, uses_tabular
+from .net import ShapeMismatch, backward, forward, init_params, paired_loss, predicts_scores, uses_tabular
 from .optim import AdamState, adam_step, lr_at
 
 __all__ = [
@@ -53,15 +53,15 @@ def sample_seed_for(master_seed: int, index: int) -> int:
     return (master_seed << 20) + index
 
 
-def model_inputs(bundles, n_points: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The network inputs of ``bundles``, an iterable read once: the (n, N, 3)
-    float64 clouds, bundle i's drawn by ``sample_points`` at
+def model_inputs(indexed_bundles, n_points: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The network inputs of ``indexed_bundles``, (i, bundle) pairs read once:
+    the (n, N, 3) float64 clouds, bundle i's drawn by ``sample_points`` at
     ``sample_seed_for(seed, i)``, and the (n, 2) raw (NoS, NoP) rows. The one
     place clouds are sampled; it holds one bundle at a time."""
     tabular = []
 
     def clouds():
-        for i, bundle in enumerate(bundles):
+        for i, bundle in indexed_bundles:
             tabular.append(extract_tabular(bundle))
             yield sample_points(bundle, n_points, seed=sample_seed_for(seed, i))
 
@@ -78,19 +78,19 @@ def load_training_arrays(manifest_rows, measures, n_points: int, seed: int) -> T
     if measures.shape != (len(manifest_rows), 10):
         raise ValueError(f"measures must be ({len(manifest_rows)}, 10), got {measures.shape}")
     bundles = (read_native(Path(row.path).read_bytes()) for row in manifest_rows)
-    points, tabular = model_inputs(bundles, n_points, seed)
+    points, tabular = model_inputs(enumerate(bundles), n_points, seed)
     splits = tuple(row.split for row in manifest_rows)
     return TrainData(points=points, tabular=tabular, measures=measures, splits=splits)
 
 
 def _targets_for(variant: str, model: shape_pca.PcaModel, measures: np.ndarray) -> np.ndarray:
-    if variant in ("pca", "full"):
+    if predicts_scores(variant):
         return model.standardize_scores(model.transform(measures))
     return (measures - model.feature_mean) / model.feature_sd
 
 
 def _measures_from_outputs(ckpt: Checkpoint, outputs: np.ndarray) -> np.ndarray:
-    if ckpt.config.variant in ("pca", "full"):
+    if predicts_scores(ckpt.config.variant):
         scores = ckpt.pca.unstandardize_scores(outputs)
         return ckpt.pca.inverse_transform(scores)
     return outputs * ckpt.pca.feature_sd + ckpt.pca.feature_mean
@@ -124,7 +124,7 @@ def train(data: TrainData, cfg: TrainConfig):
         standardizer = fit_standardizer(data.tabular[idx_train])
         tab = standardizer.apply_many(data.tabular)
 
-    params = init_params(cfg.variant, seed=cfg.seed)
+    params = init_params(cfg.variant, seed=cfg.seed, pca_k=cfg.pca_k)
     opt = AdamState(
         lr0=cfg.lr0,
         weight_decay=cfg.weight_decay,

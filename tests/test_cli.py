@@ -149,6 +149,14 @@ class TestTrainSettings:
         assert key in err
         assert not (tmp_path / "run" / "model_full.ckpt").exists()
 
+    def test_pca_k_sets_the_score_head_width(self, tiny_run, tmp_path):
+        cfg = copy_run(tiny_run, tmp_path, extra="\n[pca]\npca_k = 3\n")
+        for command in ("pca", "train", "predict", "eval"):
+            assert main([command, *cfg]) == EXIT_OK
+        ckpt = load_checkpoint((tmp_path / "run" / "model_full.ckpt").read_bytes())
+        assert ckpt.config.pca_k == 3
+        assert ckpt.params["head1.w"].shape == (128, 3)
+
 
 class TestNumericErrors:
     def test_diverged_rerun_keeps_previous_checkpoint(self, tiny_run, tmp_path, capsys):
@@ -298,12 +306,13 @@ class TestPipeline:
         assert (run / "report_full.csv").exists()
         assert (run / "train_log_full.csv").exists()
 
-    def test_variant_override_and_ablation(self, tiny_run, capsys):
-        root, cfg = tiny_run
-        assert main(["train", *cfg, "--variant", "vanilla"]) == EXIT_OK
-        assert main(["predict", *cfg, "--variant", "vanilla"]) == EXIT_OK
+    def test_variant_override_and_ablation(self, tiny_run, tmp_path, capsys):
+        cfg = copy_run(tiny_run, tmp_path)
+        for variant in ("full", "vanilla"):
+            assert main(["train", *cfg, "--variant", variant]) == EXIT_OK
+            assert main(["predict", *cfg, "--variant", variant]) == EXIT_OK
         assert main(["eval", *cfg, "--ablation"]) == EXIT_OK
-        run = root / "run"
+        run = tmp_path / "run"
         assert (run / "ablation_pearson.csv").exists()
         assert (run / "ablation_nmse.csv").exists()
         body = (run / "ablation_pearson.csv").read_text()
@@ -342,9 +351,44 @@ class TestPipeline:
         assert err.startswith(f"data error: no bundles to predict in the val split of families {family}")
         assert preds.read_bytes() == before
 
-    def test_predict_split_flag(self, tiny_run):
-        _, cfg = tiny_run
+    def test_predict_split_flag(self, tiny_run, tmp_path):
+        cfg = copy_run(tiny_run, tmp_path)
+        assert main(["train", *cfg]) == EXIT_OK
         assert main(["predict", *cfg, "--split", "val"]) == EXIT_OK
+
+    def test_predict_needs_only_the_manifest_and_checkpoint(self, tiny_run, tmp_path):
+        cfg = copy_run(tiny_run, tmp_path)
+        assert main(["train", *cfg]) == EXIT_OK
+        assert main(["predict", *cfg]) == EXIT_OK
+        preds = tmp_path / "run" / "predictions_full.csv"
+        before = preds.read_bytes()
+        preds.unlink()
+        for name in ("measures.csv", "pca_model.csv"):
+            (tmp_path / "run" / name).unlink()
+        assert main(["predict", *cfg]) == EXIT_OK
+        assert preds.read_bytes() == before
+
+    def test_predict_decodes_only_the_split(self, tiny_run, tmp_path, monkeypatch):
+        cfg = copy_run(tiny_run, tmp_path)
+        assert main(["train", *cfg]) == EXIT_OK
+        # The default 600-bundle dataset, at the tiny run's cloud size.
+        work = tmp_path / "default"
+        ini = tmp_path / "default.ini"
+        ini.write_text(f"[paths]\nwork_dir = {work}\n\n[features]\nn_points = 64\n")
+        assert main(["synth", "-c", str(ini)]) == EXIT_OK
+        shutil.copy(tmp_path / "run" / "model_full.ckpt", work / "model_full.ckpt")
+        decoded = []
+        read_native = pipeline.read_native
+
+        def counting(data):
+            decoded.append(len(data))
+            return read_native(data)
+
+        monkeypatch.setattr(pipeline, "read_native", counting)
+        assert main(["predict", "-c", str(ini)]) == EXIT_OK
+        assert len(read_manifest(work / "bundles" / "manifest.csv")) == 600
+        assert len(decoded) == 90
+        assert len((work / "predictions_full.csv").read_text().splitlines()) == 2 + 90
 
     def test_gradcheck(self, capsys):
         assert main(["gradcheck", "--probes", "10"]) == EXIT_OK
@@ -357,8 +401,9 @@ class TestPipeline:
         assert exc.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
 
-    def test_bench(self, tiny_run, capsys):
-        _, cfg = tiny_run
+    def test_bench(self, tiny_run, tmp_path, capsys):
+        cfg = copy_run(tiny_run, tmp_path)
+        assert main(["train", *cfg]) == EXIT_OK
         assert main(["bench", *cfg]) == EXIT_OK
         assert "subject-equivalent" in capsys.readouterr().out
 

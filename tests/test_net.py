@@ -19,6 +19,7 @@ from bundleshape.net import (
     init_params,
     output_dim,
     paired_loss,
+    predicts_scores,
     uses_tabular,
 )
 
@@ -35,8 +36,12 @@ class TestStructure:
         assert output_dim("pca") == 5
         assert output_dim("multimodal") == 10
         assert output_dim("vanilla") == 10
+        assert output_dim("full", 3) == output_dim("pca", 3) == 3
+        assert output_dim("vanilla", 3) == output_dim("multimodal", 3) == 10
         assert uses_tabular("full") and uses_tabular("multimodal")
         assert not uses_tabular("pca") and not uses_tabular("vanilla")
+        assert predicts_scores("full") and predicts_scores("pca")
+        assert not predicts_scores("multimodal") and not predicts_scores("vanilla")
         with pytest.raises(ValueError):
             output_dim("bogus")
 

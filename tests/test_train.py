@@ -50,15 +50,23 @@ class TestModelInputs:
     def test_samples_each_bundle_at_its_seed(self, tiny_data):
         rows, _ = tiny_data
         bundles = [read_native(Path(r.path).read_bytes()) for r in rows[:5]]
-        points, tabular = model_inputs(iter(bundles), 64, seed=9)
+        points, tabular = model_inputs(enumerate(bundles), 64, seed=9)
         assert points.shape == (5, 64, 3) and points.dtype == np.float64
         assert tabular.shape == (5, 2) and tabular.dtype == np.float64
         for i, b in enumerate(bundles):
             assert np.array_equal(points[i], sample_points(b, 64, seed=sample_seed_for(9, i)))
             assert np.array_equal(tabular[i], extract_tabular(b))
 
+    def test_samples_at_the_given_indices(self, tiny_data):
+        rows, _ = tiny_data
+        b0, b1 = (read_native(Path(r.path).read_bytes()) for r in rows[:2])
+        points, tabular = model_inputs(iter([(3, b0), (7, b1)]), 64, seed=9)
+        assert np.array_equal(points[0], sample_points(b0, 64, seed=sample_seed_for(9, 3)))
+        assert np.array_equal(points[1], sample_points(b1, 64, seed=sample_seed_for(9, 7)))
+        assert np.array_equal(tabular, [extract_tabular(b0), extract_tabular(b1)])
+
     def test_no_bundles(self):
-        points, tabular = model_inputs(iter(()), 64, seed=0)
+        points, tabular = model_inputs(enumerate(()), 64, seed=0)
         assert points.shape == (0, 64, 3) and tabular.shape == (0, 2)
 
     def test_training_arrays_hold_one_bundle_at_a_time(self, tiny_data):
