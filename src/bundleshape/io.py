@@ -180,7 +180,8 @@ def _split_records(words: np.ndarray, n_records: int, width: int) -> tuple[np.nd
     heads, pos = [], 0  # word index of each count; each fixes where the next is
     while len(heads) < n_records and 0 <= pos < n_words:  # a negative count steps back
         heads.append(pos)
-        pos += 1 + width * int(words[pos])
+        pos += 1 + width * words.item(pos)  # a Python int: no wraparound
+    heads = np.array(heads, dtype=np.intp)
     counts = words[heads]
     if (counts < 2).any():
         raise ShortStreamline(f"streamline of {counts.min()} points")

@@ -18,15 +18,33 @@ point activation exists at full (B, N, d) size. This is exact: float
 addition and ReLU are monotone, so ``relu(max(z) + b) == max(relu(z + b))``.
 Each chunk casts its own rows to the compute dtype, so the input is never
 copied whole, and each layer writes into one buffer per call, reused by
-every chunk, with bias and ReLU in place (the widest is 1 MiB in float32,
-2 MiB in float64). A GEMM row does not depend on its neighbours, so the
-chunking leaves every output bit unchanged.
+every chunk, with its elementwise passes in place (the widest is 1 MiB in
+float32, 2 MiB in float64). A GEMM row does not depend on its neighbours,
+so the chunking leaves every output bit unchanged.
+
+In float32 the hidden biases are folded out of the chunk loop. Write each
+hidden activation as ``h_i = g_i + s_i``, with a constant shift per channel
+and ``s_0 = 0`` for the input. Then ``relu(h_{i-1} W_i + b_i) =
+max(g_{i-1} W_i, -beta_i) + beta_i`` with ``beta_i = s_{i-1} W_i + b_i``, so
+a hidden layer keeps ``g_i = max(g_{i-1} W_i, -beta_i)`` and ``s_i =
+beta_i``: its GEMM and one in-place clamp, where bias then ReLU take two
+passes. The shifts are computed once per call, in float32 from the cast
+parameters, and the last, ``s_3 W_4 + b_4``, is added to the pooled
+(B, 256) features before the final ReLU. The identity is exact in real
+arithmetic; in float32 the output stays within ~1e-6 relative of float64,
+large shifts and dead channels included (tests check both). float64 does
+not fold. It is the precision of gradient checking, and the fold spreads
+every bias into all later shifts. A probe of a dead channel's bias, whose
+exact derivative is zero, then moves the loss by rounding alone, which a
+central difference at h = 1e-5 reads as a derivative of ~3e-10: a relative
+error of 2.7e-2 against the 1e-4 the finite-difference tests allow.
+Unfolded, float64 equals a per-layer ``relu(h @ W + b)`` bit for bit.
 
 Training (``want_cache=True``) also keeps, per cloud and channel, the
 point that attains the max: the critical point set of PointNet (Qi et al.,
 CVPR 2017, sec. 4.3). Only those points receive gradient through the pool,
 so the cache keeps their coordinates alone (84 per cloud at
-initialization, 98 after default training, of 1,024), in the compute
+initialization, 95 after default training, of 1,024), in the compute
 dtype, and backward() recomputes each point layer's input rows from them
 against the parameters it is given, one layer at a time (Chen et al.,
 2016). ``train.train`` runs a float32 forward on float64 parameters, so
@@ -42,13 +60,16 @@ is built after the widest recompute, and each layer keeps only the ReLU
 mask of its input rows while it forms the next gradient.
 
 Tie rule: a channel routes its gradient to the first point that attains
-the max of ``z = h3 @ W``, before the bias, so a cloud of identical points
-sends every channel to point 0. A dead channel (pooled value zero after
-the ReLU) gets zero gradient whichever point it names. The search pools
-the maxima of blocks of _ARG_BLOCK points (exact: max rounds nothing),
-then takes the first block whose max equals the pool and, in it alone,
-the first point that does. A NaN equals nothing, so a non-finite ``z`` (only
-in an epoch whose loss then raises FloatingPointError) has no critical point.
+the max of ``z``, the last layer's GEMM before its shift: ``h3 @ W`` in
+float64, the shifted ``g3 @ W`` in float32. A shift constant per channel
+moves no argmax in exact arithmetic, so the two name the same point up to
+float32 near-ties. A cloud of identical points sends every channel to
+point 0. A dead channel (pooled value zero after the ReLU) gets zero
+gradient whichever point it names. The search pools the maxima of blocks
+of _ARG_BLOCK points (exact: max rounds nothing), then takes the first
+block whose max equals the pool and, in it alone, the first point that
+does. A NaN equals nothing, so a non-finite ``z`` (only in an epoch whose
+loss then raises FloatingPointError) has no critical point.
 """
 
 from __future__ import annotations
@@ -137,7 +158,8 @@ def _first_max(z, pooled):
 
 def _pooled_points(params, x, dtype, want_critical=False):
     """Max-pooled point features of (B, N, 3) clouds, chunk by chunk, each
-    cast to ``dtype``; the last layer's bias and ReLU come after the pool.
+    cast to ``dtype``; the last layer's bias (in float32, the folded shift
+    of the module docstring) and ReLU come after the pool.
 
     With ``want_critical`` also returns, for backward(), the flat indices
     (into the B*N points) of the unique critical points (module docstring)
@@ -145,7 +167,13 @@ def _pooled_points(params, x, dtype, want_critical=False):
     the (n_crit, 3) coordinates of those points."""
     b_dim, n_dim = x.shape[0], x.shape[1]
     last = len(POINT_WIDTHS) - 2
-    w_last = params[f"point{last}.w"]
+    weights = [params[f"point{i}.w"] for i in range(last + 1)]
+    shifts = [params[f"point{i}.b"] for i in range(last + 1)]
+    fold = dtype == np.float32
+    if fold:  # beta_i = beta_{i-1} W_i + b_i; hidden layer i clamps at -beta_i
+        for i in range(1, last + 1):
+            shifts[i] = shifts[i - 1] @ weights[i] + shifts[i]
+        floors = [-beta for beta in shifts[:last]]
     pooled = np.empty((b_dim, POINT_WIDTHS[-1]), dtype=dtype)
     if want_critical:
         slot = np.empty(pooled.shape, dtype=np.intp)
@@ -155,8 +183,13 @@ def _pooled_points(params, x, dtype, want_critical=False):
     for s in range(0, b_dim, step):
         h = x[s : s + step].reshape(-1, POINT_WIDTHS[0]).astype(dtype, copy=False)
         for i in range(last):
-            h = _affine_relu(h, params[f"point{i}.w"], params[f"point{i}.b"], out=bufs[i][: len(h)])
-        z = np.matmul(h, w_last, out=bufs[last][: len(h)]).reshape(-1, n_dim, POINT_WIDTHS[-1])
+            out = bufs[i][: len(h)]
+            if fold:  # rebinding h before the clamp frees the chunk's cast input
+                h = np.matmul(h, weights[i], out=out)
+                np.maximum(h, floors[i], out=h)
+            else:
+                h = _affine_relu(h, weights[i], shifts[i], out=out)
+        z = np.matmul(h, weights[last], out=bufs[last][: len(h)]).reshape(-1, n_dim, POINT_WIDTHS[-1])
         if not want_critical:
             z.max(axis=1, out=pooled[s : s + step])
             continue
@@ -165,7 +198,7 @@ def _pooled_points(params, x, dtype, want_critical=False):
         slot[s : s + step] = inv.reshape(arg.shape) + n_rows
         n_rows += crit.size
         index.append(crit + s * n_dim)
-    pooled += params[f"point{last}.b"]
+    pooled += shifts[last]
     np.maximum(pooled, 0.0, out=pooled)
     if not want_critical:
         return pooled
@@ -220,7 +253,8 @@ def forward(
 
     ``dtype`` selects the compute precision. Gradient checking uses the
     float64 default; training and inference pass float32, which roughly
-    halves the point-encoder time at ~1e-6 relative output error. The
+    halves the point-encoder time at ~1e-6 relative output error and
+    folds the hidden biases (module docstring). The
     cache is in ``dtype`` too; backward() recomputes its rows against the
     parameters, so float64 parameters and a float64 output gradient give
     float64 gradients from a float32 cache.

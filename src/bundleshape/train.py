@@ -27,6 +27,7 @@ __all__ = [
     "model_inputs",
     "load_training_arrays",
     "train",
+    "check_cloud_size",
     "predict_measures",
     "write_train_log",
 ]
@@ -178,6 +179,14 @@ def train(data: TrainData, cfg: TrainConfig):
     return ckpt, log
 
 
+def check_cloud_size(ckpt: Checkpoint, n_points: int) -> None:
+    """Raises ShapeMismatch unless the model was trained on clouds of ``n_points``."""
+    if n_points != ckpt.config.n_points:
+        raise ShapeMismatch(
+            f"clouds of {n_points} points, but the model was trained on {ckpt.config.n_points}"
+        )
+
+
 def predict_measures(ckpt: Checkpoint, points: np.ndarray, tabular_raw: np.ndarray) -> np.ndarray:
     """Predict the ten measures for pre-sampled clouds + raw descriptors.
 
@@ -187,10 +196,8 @@ def predict_measures(ckpt: Checkpoint, points: np.ndarray, tabular_raw: np.ndarr
     before its last bias and ReLU, so no full-size activation is built.
     Raises ShapeMismatch for clouds of another size than the model's.
     """
-    if points.ndim == 3 and points.shape[1] != ckpt.config.n_points:
-        raise ShapeMismatch(
-            f"clouds of {points.shape[1]} points, but the model was trained on {ckpt.config.n_points}"
-        )
+    if points.ndim == 3:
+        check_cloud_size(ckpt, points.shape[1])
     tab = None
     if uses_tabular(ckpt.config.variant):
         if ckpt.standardizer is None:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import shutil
+import time
 import warnings
 
 import numpy as np
@@ -85,16 +86,19 @@ class TestExitCodes:
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
-    def test_predict_refuses_another_cloud_size(self, tiny_run, tmp_path, capsys):
+    def test_predict_refuses_another_cloud_size(self, tiny_run, tmp_path, capsys, monkeypatch):
         cfg = copy_run(tiny_run, tmp_path)
         assert main(["train", *cfg]) == EXIT_OK
         ini = tmp_path / "run.ini"
         ini.write_text(ini.read_text().replace("n_points = 64", "n_points = 512"))
         capsys.readouterr()
+        decoded = []
+        monkeypatch.setattr(pipeline, "read_native", decoded.append)
         assert main(["predict", *cfg]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "512" in err and "64" in err
         assert not (tmp_path / "run" / "predictions_full.csv").exists()
+        assert decoded == []  # refused before any bundle is decoded
 
     def test_failed_rerun_keeps_previous_measures(self, tiny_run, tmp_path, capsys):
         root, _ = tiny_run
@@ -405,7 +409,13 @@ class TestPipeline:
         cfg = copy_run(tiny_run, tmp_path)
         assert main(["train", *cfg]) == EXIT_OK
         assert main(["bench", *cfg]) == EXIT_OK
-        assert "subject-equivalent" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "subject-equivalent" in out and "sampling" in out and "predict" in out
+        result = pipeline.run_bench(load_config(cfg[1]))
+        assert {"oracle_s", "model_s", "sample_s", "predict_s"} <= result.keys()
+        # Both phases come from the model step's best repetition.
+        tick = time.get_clock_info("perf_counter").resolution
+        assert abs(result["sample_s"] + result["predict_s"] - result["model_s"]) <= 2 * tick
 
     def test_bench_predicts_the_training_inputs(self, tiny_run, tmp_path, monkeypatch):
         cfg = copy_run(tiny_run, tmp_path)

@@ -147,6 +147,42 @@ class TestChunkedInference:
         assert peak < 4 * 2**20
 
 
+class TestBiasFold:
+    """float32 folds the hidden biases into per-channel shifts; float64,
+    which gradient checking runs, keeps the textbook layers."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_float64_is_the_unfolded_network(self, variant):
+        rng = np.random.default_rng(21)
+        params = random_biases(init_params(variant, seed=8), rng)
+        pts, tab = small_inputs(rng, variant, batch=5, n_points=300)
+        h = pts.reshape(-1, 3)
+        for i in range(len(POINT_WIDTHS) - 1):
+            h = np.maximum(h @ params[f"point{i}.w"] + params[f"point{i}.b"], 0.0)
+        fused = [h.reshape(5, 300, -1).max(axis=1)]
+        if uses_tabular(variant):
+            t = tab
+            for i in range(len(TAB_WIDTHS) - 1):
+                t = np.maximum(t @ params[f"tab{i}.w"] + params[f"tab{i}.b"], 0.0)
+            fused.append(t)
+        g = np.maximum(np.concatenate(fused, axis=1) @ params["head0.w"] + params["head0.b"], 0.0)
+        reference = g @ params["head1.w"] + params["head1.b"]
+        np.testing.assert_array_equal(forward(params, pts, tab, variant), reference)
+        np.testing.assert_array_equal(forward(params, pts, tab, variant, want_cache=True)[0], reference)
+
+    @pytest.mark.parametrize("want_cache", [False, True])
+    def test_float32_with_large_shifts(self, want_cache):
+        rng = np.random.default_rng(22)
+        params = random_biases(init_params("full", seed=9), rng, scale=5.0)
+        pts, tab = small_inputs(rng, "full", batch=4, n_points=300)
+        exact, cache = forward(params, pts, tab, "full", want_cache=True)
+        dead = cache["fused"][:, : POINT_WIDTHS[-1]] == 0
+        assert 0.2 < dead.mean() < 0.8  # the shifts leave many channels dead, not all
+        got = forward(params, pts, tab, "full", want_cache=want_cache, dtype=np.float32)
+        got = got[0] if want_cache else got
+        np.testing.assert_allclose(got, exact, rtol=1e-5, atol=1e-5 * np.abs(exact).max())
+
+
 def dense_reference_grads(params, pts, tab, variant, d_out):
     """Textbook backward: every point activation at full (B*N, d) size and
     the pooled gradient scattered into a (B, N, 256) array at the first max
@@ -181,10 +217,10 @@ def dense_reference_grads(params, pts, tab, variant, d_out):
     return grads
 
 
-def random_biases(params, rng):
+def random_biases(params, rng, scale=0.5):
     for name in params:
         if name.endswith(".b"):
-            params[name] = rng.normal(scale=0.5, size=params[name].shape)
+            params[name] = rng.normal(scale=scale, size=params[name].shape)
     return params
 
 
