@@ -129,7 +129,9 @@ def main(argv=None) -> int:
             print(
                 f"per {result['n_bundles']}-bundle subject-equivalent: "
                 f"oracle {result['oracle_s']:.3f} s, model {result['model_s']:.3f} s "
-                f"(sampling {result['sample_s']:.3f} s, predict {result['predict_s']:.3f} s)"
+                f"(sampling {result['sample_s']:.3f} s, predict {result['predict_s']:.3f} s); "
+                f"train step: forward {result['train_forward_s']:.3f} s, "
+                f"backward {result['backward_s']:.3f} s"
             )
     except ArithmeticError as exc:  # non-finite loss, measures or predictions; overflow
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -55,9 +55,14 @@ checking, BLAS gives each row of ``h @ W`` the same bits whatever the
 other rows, so the rows equal the forward's bit for bit (up to rounding
 for a single critical row, whose (1, k) products NumPy sends to gemv) and
 the gradients are exact (tests check both, and finite differences).
-Backward holds at most two row sets at once: the scattered pool gradient
-is built after the widest recompute, and each layer keeps only the ReLU
-mask of its input rows while it forms the next gradient.
+The pool's gradient is never dense: the max sends each (cloud, channel)
+gradient to exactly one critical row, so backward() holds it as a
+(256, n_crit) CSR matrix with one entry per cloud in each channel's row
+(~99 % of a dense (n_crit, 256) one is zeros in a default batch), and
+forms the last layer's weight and input gradients as sparse products;
+that layer's bias gradient is the column sum of the (B, 256) pooled
+gradient. Backward holds at most two row sets at once: each layer keeps
+only the ReLU mask of its input rows while it forms the next gradient.
 
 Tie rule: a channel routes its gradient to the first point that attains
 the max of ``z``, the last layer's GEMM before its shift: ``h3 @ W`` in
@@ -75,6 +80,7 @@ loss then raises FloatingPointError) has no critical point.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 __all__ = [
     "VARIANTS",
@@ -295,13 +301,23 @@ def forward(
     return (out, cache) if want_cache else out
 
 
+def _pool_gradient(d_pooled, slot, n_rows):
+    """The (256, n_rows) CSR gradient of the pool input, channel-major: row c
+    holds cloud b's ``d_pooled[b, c]`` at column ``slot[b, c]``. The clouds'
+    slot blocks ascend, so each row's columns are sorted as CSR requires."""
+    b_dim, d = d_pooled.shape
+    indptr = np.arange(0, d * b_dim + 1, b_dim)
+    return sparse.csr_array((d_pooled.T.ravel(), slot.T.ravel(), indptr), shape=(d, n_rows))
+
+
 def backward(params, cache, d_out) -> dict[str, np.ndarray]:
     """Exact gradients of every parameter given d(loss)/d(output).
 
     The point layers run on the critical points of the cache only: each
     pooled channel's gradient goes to the row of the point it came from,
     masked where the pooled value is zero after the ReLU, and every other
-    point would carry a zero gradient row (rows recomputed per layer).
+    point would carry a zero gradient row (rows recomputed per layer; the
+    pool's gradient held sparse, see the module docstring).
     """
     variant = cache["variant"]
     grads: dict[str, np.ndarray] = {}
@@ -333,11 +349,14 @@ def backward(params, cache, d_out) -> dict[str, np.ndarray]:
         a = pts  # layer i's input rows, recomputed and dropped per layer
         for j in range(i):
             a = _affine_relu(a, params[f"point{j}.w"], params[f"point{j}.b"])
-        if d_h is None:  # scattered after the widest recompute, not during it
-            d_h = np.zeros((len(pts), pool_dim), dtype=d_pooled.dtype)
-            d_h[cache["critical_slot"], np.arange(pool_dim)] = d_pooled
-        grads[f"point{i}.w"] = a.T @ d_h
-        grads[f"point{i}.b"] = d_h.sum(axis=0)
+        if d_h is None:  # the pool's gradient: one entry per (cloud, channel)
+            d_h = _pool_gradient(d_pooled, cache["critical_slot"], len(pts))
+            grads[f"point{i}.w"] = (d_h @ a).T
+            grads[f"point{i}.b"] = d_pooled.sum(axis=0)
+            d_h = d_h.T
+        else:
+            grads[f"point{i}.w"] = a.T @ d_h
+            grads[f"point{i}.b"] = d_h.sum(axis=0)
         if i:
             live = a > 0
             del a

@@ -17,10 +17,11 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_hash
 from .io import read_csv, read_native, replace_on_success, write_csv
 from .metrics import EvalReport, evaluate, write_report
-from .net import VARIANTS, backward, forward, init_params, paired_loss
+from .net import VARIANTS, backward, forward, init_params, paired_loss, uses_tabular
 from .shapes import MEASURE_NAMES, compute_measures
 from .synth import generate_dataset, read_manifest
 from .train import (
+    _FORWARD_DTYPE,
     check_cloud_size,
     load_training_arrays,
     model_inputs,
@@ -275,7 +276,10 @@ def run_gradcheck(n_probes: int = 120, seed: int = 0) -> float:
 
 def run_bench(cfg: RunConfig, variant: str | None = None) -> dict:
     """Per-subject-equivalent wall times for the oracle and the model; the
-    model's best repetition is also split into point sampling and predict."""
+    model's best repetition is also split into point sampling and predict.
+    Also times one training step on the subject's first clouds, a batch of
+    the checkpoint's size: ``train.train``'s cached forward and its backward
+    (with d_out = 1 / size), against the checkpoint's parameters."""
     variant = variant or cfg.variant
     rows = read_manifest(manifest_path(cfg))[:SUBJECT_EQUIVALENT_BUNDLES]
     bundles = [read_native(Path(r.path).read_bytes()) for r in rows]
@@ -302,10 +306,27 @@ def run_bench(cfg: RunConfig, variant: str | None = None) -> dict:
         t2 = time.perf_counter()
         if t2 - t0 < model_s:
             model_s, sample_s, predict_s = t2 - t0, t1 - t0, t2 - t1
+
+    points, tabular = inputs
+    batch = slice(0, min(ckpt.config.batch_size, len(points)))
+    tab = ckpt.standardizer.apply_many(tabular[batch]) if uses_tabular(ckpt.config.variant) else None
+    step_s = np.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        preds, cache = forward(
+            ckpt.params, points[batch], tab, ckpt.config.variant, want_cache=True, dtype=_FORWARD_DTYPE
+        )
+        t1 = time.perf_counter()
+        backward(ckpt.params, cache, np.full(preds.shape, 1.0 / preds.size))
+        t2 = time.perf_counter()
+        if t2 - t0 < step_s:
+            step_s, train_forward_s, backward_s = t2 - t0, t1 - t0, t2 - t1
     return {
         "n_bundles": len(bundles),
         "oracle_s": oracle_s,
         "model_s": model_s,
         "sample_s": sample_s,
         "predict_s": predict_s,
+        "train_forward_s": train_forward_s,
+        "backward_s": backward_s,
     }

@@ -34,7 +34,7 @@ __all__ = [
 
 
 # Compute dtype of every forward here: training (its cache feeds the float64
-# backward), validation and predict_measures.
+# backward), validation and predict_measures; also of run_bench's training step.
 _FORWARD_DTYPE = np.float32
 
 

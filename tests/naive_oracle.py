@@ -12,16 +12,22 @@ import numpy as np
 from bundleshape.shapes import SPAN_EPS, ShapeMeasures
 
 
-def _naive_arc_length(s):
+def _naive_segment_lengths(s):
+    """Lengths of a streamline's segments, by the library's einsum: its sum
+    of three squares rounds in its own order, which a step count at a voxel
+    face can tell from ``x*x + y*y + z*z``."""
     d = np.diff(s, axis=0)
-    return float(np.sqrt(np.einsum("ij,ij->i", d, d)).sum())
+    return np.sqrt(np.einsum("ij,ij->i", d, d))
+
+
+def _naive_arc_length(s):
+    return float(_naive_segment_lengths(s).sum())
 
 
 def _naive_samples(s, max_step):
     out = [s[0].copy()]
-    for i in range(s.shape[0] - 1):
+    for i, seg_len in enumerate(_naive_segment_lengths(s)):
         seg = s[i + 1] - s[i]
-        seg_len = np.sqrt(seg[0] * seg[0] + seg[1] * seg[1] + seg[2] * seg[2])
         n = max(int(np.ceil(seg_len / max_step)), 1)
         for j in range(1, n + 1):
             t = np.float64(j) / np.float64(n)

@@ -405,17 +405,33 @@ class TestPipeline:
         assert exc.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
 
-    def test_bench(self, tiny_run, tmp_path, capsys):
+    def test_bench(self, tiny_run, tmp_path, capsys, monkeypatch):
         cfg = copy_run(tiny_run, tmp_path)
         assert main(["train", *cfg]) == EXIT_OK
         assert main(["bench", *cfg]) == EXIT_OK
         out = capsys.readouterr().out
         assert "subject-equivalent" in out and "sampling" in out and "predict" in out
+        assert "train step: forward" in out and "backward" in out
+        steps, backward = [], pipeline.backward
+
+        def spy(params, cache, d_out):
+            steps.append((cache, d_out))
+            return backward(params, cache, d_out)
+
+        monkeypatch.setattr(pipeline, "backward", spy)
         result = pipeline.run_bench(load_config(cfg[1]))
-        assert {"oracle_s", "model_s", "sample_s", "predict_s"} <= result.keys()
+        # Three timed training steps, each on one batch (8 clouds here) of the
+        # float32 cached forward train() runs, with the mean's output gradient.
+        assert len(steps) == 3
+        for cache, d_out in steps:
+            assert cache["critical_points"].dtype == np.float32
+            assert d_out.shape == (8, 5) and d_out.dtype == np.float64
+            assert d_out.sum() == pytest.approx(1.0)
+        assert {"oracle_s", "model_s", "sample_s", "predict_s", "train_forward_s", "backward_s"} <= result.keys()
         # Both phases come from the model step's best repetition.
         tick = time.get_clock_info("perf_counter").resolution
         assert abs(result["sample_s"] + result["predict_s"] - result["model_s"]) <= 2 * tick
+        assert result["train_forward_s"] > 0 and result["backward_s"] > 0
 
     def test_bench_predicts_the_training_inputs(self, tiny_run, tmp_path, monkeypatch):
         cfg = copy_run(tiny_run, tmp_path)

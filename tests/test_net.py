@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from bundleshape import net
 from bundleshape.net import (
@@ -286,8 +287,9 @@ class TestCriticalRows:
             tracemalloc.stop()
         # One full-size float64 activation of the 256-wide layer alone is 67 MB;
         # one cloud per chunk, no hidden rows in the cache and a backward that
-        # holds at most two row sets peak near 9 MB.
-        assert peak < 10 * 2**20
+        # holds at most two row sets, the pool's gradient sparse, peak near
+        # 6.5 MiB. A dense (n_crit, 256) pool gradient adds ~2.5 MiB.
+        assert peak < 7.5 * 2**20
         # The point encoder caches coordinates only: at most 256 points per cloud.
         assert cache["critical_points"].size <= len(pts) * POINT_WIDTHS[-1] * 3
 
@@ -340,13 +342,25 @@ class TestRecomputedRows:
         for depth, got in zip([1, 2, 3, 1, 2, 1], recomputed):
             assert_same(got, rows[depth], err_msg=f"layer {depth}")
 
-        # A backward on the gathered rows, from the same pooled gradient.
-        pool_dim = POINT_WIDTHS[-1]
+        # A backward on the gathered rows, from the same pooled gradient. The
+        # last layer's step takes it, as backward() does, as a channel-major
+        # CSR matrix with one entry per (cloud, channel): the dense scatter,
+        # transposed, with its zeros left out.
+        pool_dim, last = POINT_WIDTHS[-1], len(POINT_WIDTHS) - 2
         dg = (d_out @ params["head1.w"].T) * (cache["head_hidden"] > 0)
         d_pooled = (dg @ params["head0.w"].T)[:, :pool_dim] * (cache["fused"][:, :pool_dim] > 0)
-        d_h = np.zeros((len(rows[0]), pool_dim))
-        d_h[cache["critical_slot"], np.arange(pool_dim)] = d_pooled
-        for i in reversed(range(len(POINT_WIDTHS) - 1)):
+        slot = cache["critical_slot"]
+        d_pool = sparse.csr_array(
+            (d_pooled.T.ravel(), slot.T.ravel(), np.arange(0, d_pooled.size + 1, batch)),
+            shape=(pool_dim, len(rows[0])),
+        )
+        scatter = np.zeros((len(rows[0]), pool_dim))
+        scatter[slot, np.arange(pool_dim)] = d_pooled
+        np.testing.assert_array_equal(d_pool.toarray().T, scatter)
+        assert_same(grads[f"point{last}.w"], (d_pool @ rows[last]).T)
+        assert_same(grads[f"point{last}.b"], d_pooled.sum(axis=0))
+        d_h = (d_pool.T @ params[f"point{last}.w"].T) * (rows[last] > 0)
+        for i in reversed(range(last)):
             assert_same(grads[f"point{i}.w"], rows[i].T @ d_h)
             assert_same(grads[f"point{i}.b"], d_h.sum(axis=0))
             d_h = (d_h @ params[f"point{i}.w"].T) * (rows[i] > 0)

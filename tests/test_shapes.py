@@ -264,6 +264,21 @@ class TestBruteForce:
                 np.testing.assert_array_equal(grid.indices, np.unique(naive_voxel_indices(b, v), axis=0))
                 checked += 1
 
+    def test_bit_exact_on_a_lattice_step_count(self):
+        """The segment (0.2, -0.3, 0.6) is 0.7 mm long to within rounding:
+        one order of its sum of squares gives 0.7000000000000001, another
+        0.7, so it takes 3 or 2 steps of half a 0.7 mm voxel, and its bundle
+        one voxel more or less. The oracle and the naive one must agree on
+        the order."""
+        b = Bundle.from_streamlines(
+            (
+                np.array([[0.7, 1.9, 0.2], [0.9, 1.6, 0.8]]),
+                np.array([[-0.9, -0.9, -0.9], [2.1, -0.9, -0.9]]),
+            )
+        )
+        np.testing.assert_array_equal(compute_measures(b, 0.7).as_array(), naive_measures(b, 0.7).as_array())
+        np.testing.assert_array_equal(voxelize(b, 0.7).indices, np.unique(naive_voxel_indices(b, 0.7), axis=0))
+
     def test_bit_exact_on_synthetic_families(self, tmp_path):
         """The two smallest bundles of each generator family of a seed-7
         subject, the kind of data the benchmark's oracle workload runs."""
