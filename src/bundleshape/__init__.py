@@ -25,6 +25,6 @@ from .features import TabStandardizer, extract_tabular, fit_standardizer, sample
 from .pca import PcaModel
 from .metrics import EvalReport, evaluate, fisher_z, nmse, paired_t, pearson_r
 from .checkpoint import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
-from .train import model_inputs, predict_measures, train
+from .train import model_inputs, predict_measures
 
 __version__ = "0.1.0"

@@ -45,9 +45,11 @@ point that attains the max: the critical point set of PointNet (Qi et al.,
 CVPR 2017, sec. 4.3). Only those points receive gradient through the pool,
 so the cache keeps their coordinates alone (84 per cloud at
 initialization, 95 after default training, of 1,024), in the compute
-dtype, and backward() recomputes each point layer's input rows from them
-against the parameters it is given, one layer at a time (Chen et al.,
-2016). ``train.train`` runs a float32 forward on float64 parameters, so
+dtype, and backward() recomputes the point layers' input rows from them
+against the parameters it is given (Chen et al., 2016): layer 3's rows
+through layers 0-2, keeping layer 2's rows from the way up for layer 2,
+then layer 1's rows through layer 0, four layer evaluations in all.
+``train.train`` runs a float32 forward on float64 parameters, so
 its recomputed rows and all its gradients are float64 (mixed precision
 with float64 master weights; each gradient lies within ~5e-7 of its norm
 of a float64 forward's). When forward and backward share float64, as in gradient
@@ -316,8 +318,8 @@ def backward(params, cache, d_out) -> dict[str, np.ndarray]:
     The point layers run on the critical points of the cache only: each
     pooled channel's gradient goes to the row of the point it came from,
     masked where the pooled value is zero after the ReLU, and every other
-    point would carry a zero gradient row (rows recomputed per layer; the
-    pool's gradient held sparse, see the module docstring).
+    point would carry a zero gradient row (rows recomputed four layer
+    evaluations a batch; the pool's gradient held sparse: module docstring).
     """
     variant = cache["variant"]
     grads: dict[str, np.ndarray] = {}
@@ -344,11 +346,15 @@ def backward(params, cache, d_out) -> dict[str, np.ndarray]:
             grads[f"tab{i}.b"] = d_t.sum(axis=0)
             d_t = d_t @ params[f"tab{i}.w"].T
 
-    pts, d_h = cache["critical_points"], None
+    pts, d_h, below = cache["critical_points"], None, None
     for i in reversed(range(len(POINT_WIDTHS) - 1)):
-        a = pts  # layer i's input rows, recomputed and dropped per layer
-        for j in range(i):
-            a = _affine_relu(a, params[f"point{j}.w"], params[f"point{j}.b"])
+        if below is not None:  # layer i's input rows, kept from layer i + 1's recompute
+            a, below = below, None
+        else:  # recomputed, keeping layer i - 1's input rows from the way up
+            a = pts
+            for j in range(i):
+                below = a
+                a = _affine_relu(below, params[f"point{j}.w"], params[f"point{j}.b"])
         if d_h is None:  # the pool's gradient: one entry per (cloud, channel)
             d_h = _pool_gradient(d_pooled, cache["critical_slot"], len(pts))
             grads[f"point{i}.w"] = (d_h @ a).T
@@ -362,6 +368,7 @@ def backward(params, cache, d_out) -> dict[str, np.ndarray]:
             del a
             d_h = d_h @ params[f"point{i}.w"].T
             d_h *= live
+            del live
     return grads
 
 

@@ -34,13 +34,14 @@ __all__ = [
 
 
 # Compute dtype of every forward here: training (its cache feeds the float64
-# backward), validation and predict_measures; also of run_bench's training step.
+# backward), validation and predict_measures; also of run_bench's training step,
+# and of model_inputs' clouds, so that rounding them changes no forward's bits.
 _FORWARD_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
 class TrainData:
-    points: np.ndarray  # (n, N, 3) centered clouds
+    points: np.ndarray  # (n, N, 3) centered float32 clouds
     tabular: np.ndarray  # (n, 2) raw NoS/NoP
     measures: np.ndarray  # (n, 10) ground-truth shape measures
     splits: tuple  # of "train" | "val" | "test"
@@ -56,9 +57,9 @@ def sample_seed_for(master_seed: int, index: int) -> int:
 
 def model_inputs(indexed_bundles, n_points: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The network inputs of ``indexed_bundles``, (i, bundle) pairs read once:
-    the (n, N, 3) float64 clouds, bundle i's drawn by ``sample_points`` at
-    ``sample_seed_for(seed, i)``, and the (n, 2) raw (NoS, NoP) rows. The one
-    place clouds are sampled; it holds one bundle at a time."""
+    the (n, N, 3) float32 clouds, bundle i's drawn by ``sample_points`` at
+    ``sample_seed_for(seed, i)`` and rounded once, and the (n, 2) raw (NoS, NoP)
+    rows. The one place clouds are sampled; it holds one bundle at a time."""
     tabular = []
 
     def clouds():
@@ -66,7 +67,7 @@ def model_inputs(indexed_bundles, n_points: int, seed: int) -> tuple[np.ndarray,
             tabular.append(extract_tabular(bundle))
             yield sample_points(bundle, n_points, seed=sample_seed_for(seed, i))
 
-    points = np.fromiter(clouds(), np.dtype((np.float64, (n_points, 3))))
+    points = np.fromiter(clouds(), np.dtype((_FORWARD_DTYPE, (n_points, 3))))
     return points, np.array(tabular, dtype=np.float64).reshape(-1, 2)
 
 
