@@ -18,8 +18,9 @@ import numpy as np
 
 from .features import TabStandardizer
 from .io import PROLOGUE, MalformedHeader, TruncatedFile, unpack_prologue
-from .net import check_variant, param_shapes
+from .net import check_variant, param_shapes, uses_tabular
 from .pca import PcaModel
+from .shapes import MEASURE_NAMES
 
 __all__ = ["TrainConfig", "Checkpoint", "save_checkpoint", "load_checkpoint"]
 
@@ -96,6 +97,9 @@ def save_checkpoint(ckpt: Checkpoint) -> bytes:
 
 
 def load_checkpoint(data: bytes) -> Checkpoint:
+    """Raises a ``BundleIOError`` for a damaged file: ``MalformedHeader`` also
+    for an array whose shape does not fit the config, or a standardizer kept
+    for a point-only variant or missing from a tabular one."""
     hlen = unpack_prologue(data, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
     pos = PROLOGUE.size + hlen  # where the arrays start
     if len(data) < pos:
@@ -120,18 +124,21 @@ def load_checkpoint(data: bytes) -> Checkpoint:
     if pos != len(data):
         raise MalformedHeader(f"{len(data) - pos} trailing bytes after the last array")
 
-    def array(name: str) -> np.ndarray:
+    def array(name: str, shape: tuple) -> np.ndarray:
         if name not in arrays:
             raise MalformedHeader(f"checkpoint has no array {name!r}")
+        if arrays[name].shape != shape:
+            raise MalformedHeader(f"array {name!r} has shape {arrays[name].shape}, not {shape}")
         return arrays[name]
 
-    params = {}
-    for name, shape in param_shapes(config.variant, config.pca_k).items():
-        params[name] = array(f"net.{name}")
-        if params[name].shape != shape:
-            raise MalformedHeader(f"array 'net.{name}' has shape {params[name].shape}, not {shape}")
-    pca = PcaModel(**{f: array(f"pca.{f}") for f in _PCA_FIELDS})
+    net_shapes = param_shapes(config.variant, config.pca_k)
+    params = {name: array(f"net.{name}", shape) for name, shape in net_shapes.items()}
+    d, k = len(MEASURE_NAMES), config.pca_k
+    pca_shapes = {"feature_mean": (d,), "feature_sd": (d,), "components": (k, d)}
+    pca = PcaModel(**{f: array(f"pca.{f}", pca_shapes.get(f, (k,))) for f in _PCA_FIELDS})
+    if has_standardizer != uses_tabular(config.variant):
+        raise MalformedHeader(f"has_standardizer is {has_standardizer!r} for variant {config.variant!r}")
     standardizer = None
     if has_standardizer:
-        standardizer = TabStandardizer(mean=array("tab.mean"), sd=array("tab.sd"))
+        standardizer = TabStandardizer(mean=array("tab.mean", (2,)), sd=array("tab.sd", (2,)))
     return Checkpoint(config=config, params=params, pca=pca, standardizer=standardizer)

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .features import ZeroVariance
 from .io import write_csv
@@ -87,6 +86,8 @@ def fisher_z(r: float) -> float:
 
 def paired_t(a, b) -> tuple[float, int, float]:
     """Paired t-test; returns (t, dof, two-sided p)."""
+    from scipy import special
+
     a, b = _paired_vectors(a, b)
     d = a - b
     n = d.shape[0]

@@ -53,9 +53,7 @@ def stamp(cfg: RunConfig) -> str:
 
 
 def _work(cfg: RunConfig) -> Path:
-    p = Path(cfg.work_dir)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+    return Path(cfg.work_dir)
 
 
 def manifest_path(cfg: RunConfig) -> Path:

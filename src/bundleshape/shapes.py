@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
+import numpy.ma  # noqa: F401  eager: np.unique's first call imports it, ~1.2 MB in a traced peak
 
 from .io import Bundle
 

@@ -14,7 +14,6 @@ from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import qmc
 
 from .io import Bundle, read_csv, write_csv, write_native
 
@@ -46,6 +45,8 @@ _sobol_cache: dict[int, np.ndarray] = {}
 
 def _disc_layout(n: int) -> np.ndarray:
     """First n rows of the unscrambled 2-d Sobol sequence (cached)."""
+    from scipy.stats import qmc
+
     m = (n - 1).bit_length()  # Sobol' balance needs 2**m >= n points
     if m not in _sobol_cache:
         _sobol_cache[m] = qmc.Sobol(d=2, scramble=False).random_base2(m)
@@ -278,6 +279,8 @@ def _draw_spec(config: DatasetConfig, index: int, sobol_row: np.ndarray) -> Bund
 
 def generate_dataset(config: DatasetConfig, header_comment: str | None = None) -> list[ManifestRow]:
     """Write native bundle files plus a manifest CSV; returns the rows."""
+    from scipy.stats import qmc
+
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -201,8 +201,6 @@ def predict_measures(ckpt: Checkpoint, points: np.ndarray, tabular_raw: np.ndarr
         check_cloud_size(ckpt, points.shape[1])
     tab = None
     if uses_tabular(ckpt.config.variant):
-        if ckpt.standardizer is None:
-            raise ValueError("checkpoint is missing the tabular standardizer")
         tab = ckpt.standardizer.apply_many(tabular_raw)
     outputs = forward(ckpt.params, points, tab, ckpt.config.variant, dtype=_FORWARD_DTYPE)
     return _measures_from_outputs(ckpt, outputs.astype(np.float64))

@@ -50,6 +50,31 @@ def edited(blob, edit):
     return blob[:5] + struct.pack("<I", len(new)) + new + body
 
 
+def first_rows(names, rows):
+    """An ``edited`` edit keeping the first ``rows`` rows of each named array."""
+
+    def edit(header, payloads):
+        for entry in header["arrays"]:
+            if entry["name"] in names:
+                row_bytes = 8 * int(np.prod(entry["shape"][1:]))
+                entry["shape"][0] = rows
+                payloads[entry["name"]] = payloads[entry["name"]][: rows * row_bytes]
+
+    return edit
+
+
+def without_standardizer(header, _):
+    header["has_standardizer"] = False
+    header["arrays"] = [e for e in header["arrays"] if not e["name"].startswith("tab.")]
+
+
+def with_standardizer(header, payloads):
+    header["has_standardizer"] = True
+    for name in ("tab.mean", "tab.sd"):
+        header["arrays"].append({"name": name, "shape": [2]})
+        payloads[name] = np.ones(2, dtype="<f8").tobytes()
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("variant", ["full", "vanilla"])
     def test_bit_exact(self, variant):
@@ -114,6 +139,35 @@ class TestFailures:
         with pytest.raises(MalformedHeader, match="head0.b"):
             load_checkpoint(edited(save_checkpoint(make_checkpoint()), reshape))
 
+    @pytest.mark.parametrize(
+        "names, rows",
+        [
+            (("pca.components", "pca.explained_variance", "pca.explained_variance_ratio", "pca.score_sd"), 3),
+            (("pca.feature_mean",), 9),
+            (("pca.feature_sd",), 9),
+            (("pca.components",), 4),
+            (("pca.explained_variance",), 4),
+            (("pca.explained_variance_ratio",), 4),
+            (("pca.score_sd",), 4),
+            (("tab.mean",), 1),
+            (("tab.sd",), 1),
+        ],
+        ids=["pca_k3_under_5", "feature_mean", "feature_sd", "components", "explained_variance",
+             "explained_variance_ratio", "score_sd", "tab_mean", "tab_sd"],
+    )
+    def test_short_pca_or_standardizer_array(self, names, rows):
+        """Before these checks, a k = 3 PCA under pca_k = 5 loaded and then failed
+        in ``predict_measures`` on a NumPy broadcast."""
+        blob = edited(save_checkpoint(make_checkpoint()), first_rows(names, rows))
+        with pytest.raises(MalformedHeader, match=names[0]):
+            load_checkpoint(blob)
+
+    @pytest.mark.parametrize(
+        "variant, edit", [("full", without_standardizer), ("vanilla", with_standardizer)]
+    )
+    def test_standardizer_only_for_tabular_variants(self, variant, edit):
+        with pytest.raises(MalformedHeader, match="has_standardizer"):
+            load_checkpoint(edited(save_checkpoint(make_checkpoint(variant)), edit))
 
     def test_trailing_bytes(self):
         with pytest.raises(MalformedHeader, match="trailing"):

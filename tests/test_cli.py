@@ -1,9 +1,13 @@
 """End-to-end command-line interface tests on a miniature run."""
 
 import dataclasses
+import os
 import shutil
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +64,23 @@ class TestHelp:
         assert exc.value.code == 2
 
 
+def test_imports_stop_at_what_is_used():
+    """The package root imports no submodule, and the CLI leaves SciPy's stats
+    and special modules to the commands that call them."""
+    check = (
+        "import sys, bundleshape\n"
+        "assert not [m for m in sys.modules if m.startswith('bundleshape.')]\n"
+        "import bundleshape.cli\n"
+        "assert not {'scipy.stats', 'scipy.special'} & set(sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", check], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+
+
 class TestExitCodes:
     def test_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
@@ -75,6 +96,13 @@ class TestExitCodes:
         ini.write_text(TINY_INI.format(work=tmp_path / "empty"))
         assert main(["shape", "-c", str(ini)]) == EXIT_DATA
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["shape", "pca", "train", "predict", "eval", "bench"])
+    def test_missing_work_dir_is_not_created(self, tmp_path, capsys, command):
+        ini = tmp_path / "run.ini"
+        ini.write_text(TINY_INI.format(work=tmp_path / "misspelt" / "run"))
+        assert main([command, "-c", str(ini)]) == EXIT_DATA
+        assert not (tmp_path / "misspelt").exists()
 
     def test_data_error_when_voxel_grid_too_large(self, tiny_run, tmp_path, capsys):
         root, _ = tiny_run
