@@ -128,7 +128,8 @@ def main(argv=None) -> int:
             result = pipeline.run_bench(cfg, args.variant)
             print(
                 f"per {result['n_bundles']}-bundle subject-equivalent: "
-                f"oracle {result['oracle_s']:.3f} s, model {result['model_s']:.3f} s "
+                f"oracle {result['oracle_s']:.3f} s (peak {result['oracle_peak_mb']:.1f} MB), "
+                f"model {result['model_s']:.3f} s "
                 f"(sampling {result['sample_s']:.3f} s, predict {result['predict_s']:.3f} s); "
                 f"train step: forward {result['train_forward_s']:.3f} s, "
                 f"backward {result['backward_s']:.3f} s"

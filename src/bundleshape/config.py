@@ -4,8 +4,8 @@ Every key has a documented default; unknown sections or keys are
 rejected. A key's default and bounds are declared once, in the stage
 config that reads it (``synth.DatasetConfig``, ``checkpoint.TrainConfig``);
 ``RunConfig`` is the flat set of keys derived from them. A stable hash
-of the resolved configuration is embedded in every output file so
-results can be traced back to their settings.
+of the resolved settings, every section but [paths], is embedded in
+every output file so results can be traced back to their settings.
 """
 
 from __future__ import annotations
@@ -123,9 +123,13 @@ def _validate(cfg: RunConfig) -> None:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    """Short stable hash over the resolved section.key=value lines."""
+    """Short stable hash over the resolved section.key=value lines of the run
+    settings. [paths] says where a run writes, not what it computes, so it is
+    left out: the same run stamps one hash in every work_dir."""
     lines = []
     for section, keys in sorted(_SCHEMA.items()):
+        if section == "paths":
+            continue
         for key in sorted(keys):
             lines.append(f"{section}.{key}={getattr(cfg, key)!r}")
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()

@@ -8,6 +8,7 @@ the config hash plus master seed for traceability.
 from __future__ import annotations
 
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -273,8 +274,9 @@ def run_gradcheck(n_probes: int = 120, seed: int = 0) -> float:
 
 
 def run_bench(cfg: RunConfig, variant: str | None = None) -> dict:
-    """Per-subject-equivalent wall times for the oracle and the model; the
-    model's best repetition is also split into point sampling and predict.
+    """Per-subject-equivalent wall times for the oracle and the model, and
+    the oracle's tracemalloc peak in MB; the model's best repetition is also
+    split into point sampling and predict.
     Also times one training step on the subject's first clouds, a batch of
     the checkpoint's size: ``train.train``'s cached forward and its backward
     (with d_out = 1 / size), against the checkpoint's parameters."""
@@ -286,6 +288,20 @@ def run_bench(cfg: RunConfig, variant: str | None = None) -> dict:
     # the code rather than scheduler noise on a shared machine.
     repeats = 3
     compute_measures(bundles[0], cfg.voxel_size)
+    # One untimed oracle pass under tracemalloc gives its allocation peak. A
+    # trace the caller started keeps running, with its peak reset.
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for b in bundles:
+            compute_measures(b, cfg.voxel_size)
+        oracle_peak_mb = (tracemalloc.get_traced_memory()[1] - before) / 1e6
+    finally:
+        if not tracing:
+            tracemalloc.stop()
     oracle_s = np.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -322,6 +338,7 @@ def run_bench(cfg: RunConfig, variant: str | None = None) -> dict:
     return {
         "n_bundles": len(bundles),
         "oracle_s": oracle_s,
+        "oracle_peak_mb": oracle_peak_mb,
         "model_s": model_s,
         "sample_s": sample_s,
         "predict_s": predict_s,

@@ -5,11 +5,12 @@ area, total radius of end regions, total area of end regions, and
 irregularity. Volume and surface quantities come from a dense boolean
 occupancy grid over the supersampled streamlines, and each end region's
 area from one over its endpoints; everything else is computed directly
-from coordinates. Samples are gathered one coordinate axis at a time,
-straight into contiguous 1-D columns of voxel indices, and mark the grid
-through one flat index built in one buffer. The grid is bounded: a bundle
-whose voxelization would need more than MAX_SAMPLES samples or
-MAX_GRID_CELLS cells raises GridTooLarge instead of exhausting memory.
+from coordinates. Segments are sampled in groups of one step count, one
+coordinate axis at a time, and each axis's column of voxel indices is
+folded into one flat grid index and freed before the next axis is
+sampled. The grid is bounded: a bundle whose voxelization would need more
+than MAX_SAMPLES samples or MAX_GRID_CELLS cells raises GridTooLarge
+instead of exhausting memory.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ __all__ = [
 
 SPAN_EPS = 1e-6  # mm; spans below this are treated as degenerate
 
-# Memory bounds of one voxelization: each supersample holds 48 bytes at the
-# peak of sampling (three coordinate columns, segment id, step fraction, one
-# gather buffer; 8 bytes each), each grid cell ~3 bytes while surfaces are
-# counted; compute_measures peaks at 55-61 bytes per sample in all. The
-# largest bundle of the default dataset at 1 mm needs ~9e4 samples and ~4e5
-# cells; an axis of more than 2**21 cells must still fit.
+# Memory bounds of one voxelization: each supersample holds 16 bytes at the
+# peak of sampling (the flat index and one axis's column, 8 bytes each), each
+# grid cell ~3 bytes while surfaces are counted; with the per-segment arrays,
+# compute_measures peaks at 36-42 bytes per sample in all. The largest bundle
+# of the default dataset at 1 mm needs ~9e4 samples and ~4e5 cells; an axis
+# of more than 2**21 cells must still fit.
 MAX_SAMPLES = 1 << 23
 MAX_GRID_CELLS = 1 << 26
 
@@ -143,26 +144,35 @@ def _arc_lengths(seg_len: np.ndarray, off: np.ndarray) -> np.ndarray:
 def _occupancy(cols) -> tuple[np.ndarray, np.ndarray]:
     """Boolean grid of integer-valued voxel indices given as three columns.
 
+    The columns are read one at a time, from any iterable, and folded into
+    the grid's flat C-order index ((i - lo0) * s1 + (j - lo1)) * s2 + (k - lo2).
+    The cell bound is checked in float after each column, before the index
+    is multiplied, so every step is exact: float columns, floors counted
+    from the bundle's min corner, stay integers far below 2**53, and int64
+    ones wrap modulo 2**64 back into [0, cells).
     The grid spans the indices' bounding box plus one empty cell on each
     side, so every occupied cell has all six neighbors inside the grid.
     Returns the grid and the voxel index of its cell [0, 0, 0].
     """
-    lo = np.array([c.min() for c in cols]) - 1
-    shape = np.array([c.max() for c in cols]) - lo + 2
-    cells = float(np.prod(shape, dtype=np.float64))  # float: cannot overflow
-    if not cells <= MAX_GRID_CELLS:
-        raise GridTooLarge(f"{cells:.3g} grid cells exceed {MAX_GRID_CELLS}; use a larger voxel_size")
-    i, j, k = cols
-    flat = np.subtract(i, lo[0])  # ((i - lo0) * s1 + (j - lo1)) * s2 + (k - lo2), exact below MAX_GRID_CELLS
-    flat *= shape[1]
-    tmp = np.subtract(j, lo[1])
-    flat += tmp
-    flat *= shape[2]
-    flat += np.subtract(k, lo[2], out=tmp)
-    del tmp
-    grid = np.zeros(int(cells), dtype=bool)
+    lo, shape, cells = [], [], 1.0  # cells: float, cannot overflow
+    for col in cols:
+        low, high = col.min(keepdims=True), col.max(keepdims=True)
+        cells *= float(high[0]) - float(low[0]) + 3.0
+        if not cells <= MAX_GRID_CELLS:
+            raise GridTooLarge(f"at least {cells:.3g} grid cells exceed {MAX_GRID_CELLS}; use a larger voxel_size")
+        lo.append(low - 1)  # 1-element arrays: int64 wraps silently, as flat does
+        shape.append(high - lo[-1] + 2)
+        if len(lo) == 1:
+            flat = np.subtract(col, lo[0])
+        else:
+            flat *= shape[-1]
+            flat += col
+            flat -= lo[-1]
+        del col  # the next column is made only after this one is freed
+    shape = np.concatenate(shape).astype(np.intp)
+    grid = np.zeros(int(shape.prod()), dtype=bool)
     grid[flat.astype(np.intp, copy=False)] = True
-    return grid.reshape(shape.astype(np.intp)), lo.astype(np.int64)
+    return grid.reshape(shape), np.concatenate(lo).astype(np.int64)
 
 
 def _sample_grid(cat: np.ndarray, off: np.ndarray, segments: tuple, voxel_size: float) -> tuple:
@@ -170,7 +180,8 @@ def _sample_grid(cat: np.ndarray, off: np.ndarray, segments: tuple, voxel_size: 
 
     Each segment is split into ceil(length / (voxel_size/2)) equal steps (at
     least one) and sampled at the end of every step; each streamline's
-    first vertex is added once.
+    first vertex is added once. The samples come in groups of one step
+    count, not in streamline order: the grid is a set.
     """
     if not 0 < voxel_size < np.inf:
         raise ValueError(f"voxel_size must be positive and finite, got {voxel_size}")
@@ -181,25 +192,38 @@ def _sample_grid(cat: np.ndarray, off: np.ndarray, segments: tuple, voxel_size: 
     n_samples = float(steps.sum()) + n_first
     if not n_samples <= MAX_SAMPLES:
         raise GridTooLarge(f"{n_samples:.3g} samples exceed {MAX_SAMPLES}; use a larger voxel_size")
-    seg_id = np.repeat(np.arange(steps.shape[0]), steps.astype(np.int64))
-    # mode="raise" would buffer every gather's `out`; seg_id is in range by construction.
-    tmp = np.empty(seg_id.shape[0])
-    t = np.arange(1.0, seg_id.shape[0] + 1)  # integers below 2**53: exact in float64
-    t -= np.take(np.cumsum(steps) - steps, seg_id, out=tmp, mode="clip")
-    t /= np.take(steps, seg_id, out=tmp, mode="clip")  # step fractions j / count, j = 1..count
+    # Segments grouped by step count: one stable sort on a 16-bit key (a
+    # radix sort in NumPy), with runs cut on the counts themselves, so that
+    # counts past the key's range still make groups of a single count.
+    order = np.argsort(np.minimum(steps, 0x7FFF).astype(np.int16), kind="stable")
+    steps = steps[order]
+    starts = np.flatnonzero(np.diff(steps, prepend=-1.0))
+    stops = np.append(starts[1:], steps.shape[0])
+    counts = steps[starts].astype(np.int64)
+    del steps
+    sizes = counts * (stops - starts)
+    begins = n_first + np.cumsum(sizes) - sizes  # where each group's samples begin in a column
+    groups = [g for g in zip(counts.tolist(), starts.tolist(), stops.tolist(), begins.tolist()) if g[0] > 0]
     origin = np.array([cat[:, a].min() for a in range(3)])  # ~10x faster than cat.min(axis=0)
-    cols = []
-    for a in range(3):
-        x = np.empty(n_first + t.shape[0])
-        x[:n_first] = cat[off[:-1], a]
-        samples = np.take(seg[:, a], seg_id, out=x[n_first:], mode="clip")
-        samples *= t
-        samples += np.take(base[:, a], seg_id, out=tmp, mode="clip")
-        x -= origin[a]
-        x /= voxel_size
-        cols.append(np.floor(x, out=x))
-    del seg_id, t, tmp
-    grid, lo = _occupancy(cols)
+
+    def floors():
+        # Group (n, k) is one (n, k) block: the fractions j / n, j = 1..n, run
+        # down its rows and its k segments along the contiguous inner axis.
+        for a in range(3):
+            x = np.empty(int(n_samples))
+            x[:n_first] = cat[off[:-1], a]
+            s, b = seg[order, a], base[order, a]
+            for n, start, stop, pos in groups:
+                block = x[pos : pos + n * (stop - start)].reshape(n, stop - start)
+                np.multiply((np.arange(1.0, n + 1) / n)[:, None], s[start:stop], out=block)
+                block += b[start:stop]
+            del s, b
+            x -= origin[a]
+            x /= voxel_size
+            yield np.floor(x, out=x)
+            del x  # freed before the next axis is sampled
+
+    grid, lo = _occupancy(floors())
     return grid, lo, origin
 
 

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -438,7 +439,7 @@ class TestPipeline:
         assert main(["train", *cfg]) == EXIT_OK
         assert main(["bench", *cfg]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "subject-equivalent" in out and "sampling" in out and "predict" in out
+        assert "subject-equivalent" in out and "MB" in out and "sampling" in out and "predict" in out
         assert "train step: forward" in out and "backward" in out
         steps, backward = [], pipeline.backward
 
@@ -447,7 +448,12 @@ class TestPipeline:
             return backward(params, cache, d_out)
 
         monkeypatch.setattr(pipeline, "backward", spy)
-        result = pipeline.run_bench(load_config(cfg[1]))
+        tracemalloc.start()  # a trace of the caller's own, which run_bench leaves running
+        try:
+            result = pipeline.run_bench(load_config(cfg[1]))
+            assert tracemalloc.is_tracing()
+        finally:
+            tracemalloc.stop()
         # Three timed training steps, each on one batch (8 clouds here) of the
         # float32 cached forward train() runs, with the mean's output gradient.
         assert len(steps) == 3
@@ -455,7 +461,9 @@ class TestPipeline:
             assert cache["critical_points"].dtype == np.float32
             assert d_out.shape == (8, 5) and d_out.dtype == np.float64
             assert d_out.sum() == pytest.approx(1.0)
-        assert {"oracle_s", "model_s", "sample_s", "predict_s", "train_forward_s", "backward_s"} <= result.keys()
+        keys = {"oracle_s", "oracle_peak_mb", "model_s", "sample_s", "predict_s", "train_forward_s", "backward_s"}
+        assert keys <= result.keys()
+        assert 0 < result["oracle_peak_mb"] < 100
         # Both phases come from the model step's best repetition.
         tick = time.get_clock_info("perf_counter").resolution
         assert abs(result["sample_s"] + result["predict_s"] - result["model_s"]) <= 2 * tick

@@ -190,9 +190,9 @@ class TestStageConfigs:
     def test_hashes_are_pinned(self, tmp_path):
         # config_hash stamps every output file: a renamed key, a moved
         # section or a changed default shows here.
-        assert config_hash(RunConfig()) == "a383af865201b985"
+        assert config_hash(RunConfig()) == "5078219df54450b2"
         write_every_key(tmp_path / "run.ini")
-        assert config_hash(load_config(str(tmp_path / "run.ini"))) == "81604bb2a5da6024"
+        assert config_hash(load_config(str(tmp_path / "run.ini"))) == "cacb8922fa47cd6d"
 
 
 MALFORMED_CONFIGS = {
@@ -265,6 +265,15 @@ class TestHash:
         assert h1 == h2
         assert h1 != h3
         assert len(h1) == 16
+
+    def test_work_dir_is_not_hashed(self, tmp_path):
+        # The same run in two directories stamps one hash on its outputs.
+        hashes = set()
+        for work_dir in ("run", tmp_path / "elsewhere"):
+            p = tmp_path / f"{len(hashes)}.ini"
+            p.write_text(f"[paths]\nwork_dir = {work_dir}\n[dataset]\nmaster_seed = 3\n")
+            hashes.add(config_hash(load_config(str(p))))
+        assert hashes == {config_hash(RunConfig(master_seed=3))}
 
     def test_describe_lists_every_key(self):
         text = describe_keys()

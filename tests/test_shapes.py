@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,12 @@ class TestVoxelize:
         count_surface_voxels(idx)
         assert idx.tobytes() == before
 
+    def test_surface_count_at_the_int64_ends(self):
+        # The flat index wraps around in int64 and back into the grid.
+        for end in (-(2**63), 2**63 - 4):
+            idx = np.array([[end, end, end], [end + 3, end, end], [end, end + 1, end]])
+            assert count_surface_voxels(idx) == 3
+
     def test_axis_longer_than_2_pow_21_cells(self):
         n = (1 << 21) + 5
         grid = voxelize(Bundle.from_streamlines((np.array([[0.25, 0.5, 0.5], [n - 0.75, 0.5, 0.5]]),)), 1.0)
@@ -225,6 +232,35 @@ class TestBounds:
     def test_surface_count_of_spread_indices(self):
         idx = np.array([[0, 0, 0], [10**6, 10**6, 10**6]])
         assert self._peak_bytes(count_surface_voxels, idx) < 1 << 20
+        # A spread of 2**63 wraps around in int64; the bound is checked in float.
+        idx = np.array([[-(2**62), 0, 0], [2**62, 0, 0]])
+        assert self._peak_bytes(count_surface_voxels, idx) < 1 << 20
+
+    def test_far_apart_along_the_last_axis_only(self):
+        # The first two axes fit; the bound holds before the flat index is
+        # multiplied by the third, so nothing overflows or warns.
+        near = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+        b = Bundle.from_streamlines((near, near + [0.0, 0.0, 2.0**27]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (compute_measures, voxelize):
+                assert self._peak_bytes(fn, b, 1.0) < 1 << 20
+
+    def test_peak_bytes_per_sample(self):
+        """compute_measures peaks at ~41 bytes per supersample: the samples are
+        made one axis at a time and folded into one flat voxel index."""
+        b = synth.generate_bundle(synth.BundleSpec("helix", 100.0, 4.0, 300, 80, jitter_sd=0.3, seed=7))
+        seg_len = np.delete(_segments(b.points, b.offsets)[2], b.offsets[1:-1] - 1)
+        n_samples = np.maximum(np.ceil(seg_len / 0.5), 1.0).sum() + b.n_streamlines
+        assert n_samples > 50_000
+        compute_measures(b, 1.0)
+        tracemalloc.start()
+        try:
+            compute_measures(b, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 45 * n_samples
 
 
 class TestDegenerate:
@@ -278,6 +314,18 @@ class TestBruteForce:
         )
         np.testing.assert_array_equal(compute_measures(b, 0.7).as_array(), naive_measures(b, 0.7).as_array())
         np.testing.assert_array_equal(voxelize(b, 0.7).indices, np.unique(naive_voxel_indices(b, 0.7), axis=0))
+
+    def test_bit_exact_across_step_count_groups(self):
+        """Segments are sampled in groups of one step count. Two segments of
+        34,000 and 33,200 steps pass the 16-bit sort key's 32,767 and must
+        still be sampled apart; 60 short ones take 1 to 40 steps, unsorted."""
+        v = 1e-3
+        long_one = np.array([[0.0, 0.0, 0.0], [17.0, 0.0, 0.0], [33.6, 0.0, 0.0]])
+        x = np.cumsum(((np.arange(60) * 7) % 40 + 1) * v / 2 - 1e-4)
+        short = np.stack([np.concatenate(([0.0], x)), np.full(61, 2e-3), np.arange(61) % 2 * 1e-4], axis=1)
+        b = Bundle.from_streamlines((short, long_one))
+        np.testing.assert_array_equal(voxelize(b, v).indices, np.unique(naive_voxel_indices(b, v), axis=0))
+        np.testing.assert_array_equal(compute_measures(b, v).as_array(), naive_measures(b, v).as_array())
 
     def test_bit_exact_on_synthetic_families(self, tmp_path):
         """The two smallest bundles of each generator family of a seed-7
