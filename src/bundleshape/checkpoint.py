@@ -51,8 +51,13 @@ class TrainConfig:
         check_variant(self.variant)
         if self.batch_size < 2 or self.batch_size % 2 != 0:
             raise ValueError("batch_size must be even and >= 2 (Siamese pairing)")
-        if self.lam_pair < 0:
+        if not self.lam_pair >= 0:  # also refuses NaN
             raise ValueError("lam_pair must be >= 0")
+        for key in ("lr0", "sched_gamma"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be positive and finite, got {getattr(self, key)}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         for key in ("epochs", "sched_period"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")

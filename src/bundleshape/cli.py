@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .config import ConfigError, describe_keys, load_config
 from .net import VARIANTS
@@ -82,8 +83,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     from . import pipeline
 
+    overrides = {"variant": args.variant} if getattr(args, "variant", None) else None
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -93,30 +95,25 @@ def main(argv=None) -> int:
             rows = pipeline.run_synth(cfg)
             print(f"wrote {len(rows)} bundles under {cfg.work_dir} ({pipeline.stamp(cfg)})")
         elif args.command == "shape":
-            out = pipeline.run_shape(cfg)
-            print(f"wrote {out}")
+            print(f"wrote {pipeline.run_shape(cfg)}")
         elif args.command == "pca":
-            out = pipeline.run_pca(cfg)
-            print(f"wrote {out}")
+            print(f"wrote {pipeline.run_pca(cfg)}")
         elif args.command == "train":
-            out = pipeline.run_train(cfg, args.variant, args.families)
-            print(f"wrote {out}")
+            print(f"wrote {pipeline.run_train(cfg, args.families)}")
         elif args.command == "predict":
-            out = pipeline.run_predict(cfg, args.variant, args.split, args.families)
-            print(f"wrote {out}")
+            print(f"wrote {pipeline.run_predict(cfg, args.split, args.families)}")
         elif args.command == "eval":
-            report = pipeline.run_eval(cfg, args.variant)
+            report = pipeline.run_eval(cfg)
             print(
                 f"{report.variant}: mean r = {report.mean_pearson:.4f} ± {report.sd_pearson:.4f}, "
                 f"mean nMSE = {report.mean_nmse:.4f} ± {report.sd_nmse:.4f}"
             )
             if args.ablation:
                 reports = {}
-                for v in VARIANTS:
-                    if pipeline.predictions_path(cfg, v).exists():
-                        reports[v] = pipeline.run_eval(cfg, v)
-                paths = pipeline.write_ablation_tables(cfg, reports)
-                for p in paths:
+                for run in (replace(cfg, variant=v) for v in VARIANTS):
+                    if pipeline.predictions_path(run).exists():
+                        reports[run.variant] = pipeline.run_eval(run)
+                for p in pipeline.write_ablation_tables(cfg, reports):
                     print(f"wrote {p}")
         elif args.command == "gradcheck":
             max_rel = pipeline.run_gradcheck(n_probes=args.probes)
@@ -125,7 +122,7 @@ def main(argv=None) -> int:
             if status == "FAIL":
                 return EXIT_NUMERIC
         elif args.command == "bench":
-            result = pipeline.run_bench(cfg, args.variant)
+            result = pipeline.run_bench(cfg)
             print(
                 f"per {result['n_bundles']}-bundle subject-equivalent: "
                 f"oracle {result['oracle_s']:.3f} s (peak {result['oracle_peak_mb']:.1f} MB), "

@@ -3,9 +3,12 @@
 Every key has a documented default; unknown sections or keys are
 rejected. A key's default and bounds are declared once, in the stage
 config that reads it (``synth.DatasetConfig``, ``checkpoint.TrainConfig``);
-``RunConfig`` is the flat set of keys derived from them. A stable hash
-of the resolved settings, every section but [paths], is embedded in
-every output file so results can be traced back to their settings.
+``RunConfig`` is the flat set of keys derived from them, and the one
+carrier of a run's settings: a command-line override such as ``--variant``
+enters through ``load_config``'s ``overrides`` and a Python caller uses
+``dataclasses.replace``. A stable hash of the resolved settings, every
+section but [paths], is embedded in every output file so results can be
+traced back to their settings.
 """
 
 from __future__ import annotations
@@ -48,10 +51,10 @@ _SCHEMA: dict[str, tuple[str, ...]] = {
 
 
 class _StageConfigs:
-    def train_config(self, variant: str | None = None) -> TrainConfig:
-        """The [train] settings (``variant`` overrides the configured one);
-        raises ValueError for a setting TrainConfig refuses."""
-        return self._stage(TrainConfig, variant=variant or self.variant)
+    def train_config(self) -> TrainConfig:
+        """The [train], [features] n_points and [pca] pca_k settings, variant
+        included; raises ValueError for a setting TrainConfig refuses."""
+        return self._stage(TrainConfig)
 
     def dataset_config(self, out_dir: str) -> DatasetConfig:
         """The [dataset] settings, writing under ``out_dir``; raises

@@ -1,8 +1,8 @@
 """High-level pipeline stages wiring the library modules together.
 
 Each function here corresponds to one CLI subcommand and is directly
-usable from Python. All outputs land under ``cfg.work_dir`` and embed
-the config hash plus master seed for traceability.
+usable from Python with one ``RunConfig``, the variant included. Outputs
+land under ``cfg.work_dir`` and embed its config hash plus master seed.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_hash
 from .io import read_csv, read_native, replace_on_success, write_csv
 from .metrics import EvalReport, evaluate, write_report
-from .net import VARIANTS, backward, forward, init_params, paired_loss, uses_tabular
+from .net import VARIANTS, backward, forward, init_params, paired_loss
 from .shapes import MEASURE_NAMES, compute_measures
 from .synth import generate_dataset, read_manifest
 from .train import (
@@ -65,16 +65,16 @@ def measures_path(cfg: RunConfig) -> Path:
     return _work(cfg) / "measures.csv"
 
 
-def checkpoint_path(cfg: RunConfig, variant: str | None = None) -> Path:
-    return _work(cfg) / f"model_{variant or cfg.variant}.ckpt"
+def checkpoint_path(cfg: RunConfig) -> Path:
+    return _work(cfg) / f"model_{cfg.variant}.ckpt"
 
 
-def predictions_path(cfg: RunConfig, variant: str | None = None) -> Path:
-    return _work(cfg) / f"predictions_{variant or cfg.variant}.csv"
+def predictions_path(cfg: RunConfig) -> Path:
+    return _work(cfg) / f"predictions_{cfg.variant}.csv"
 
 
-def report_path(cfg: RunConfig, variant: str | None = None) -> Path:
-    return _work(cfg) / f"report_{variant or cfg.variant}.csv"
+def report_path(cfg: RunConfig) -> Path:
+    return _work(cfg) / f"report_{cfg.variant}.csv"
 
 
 def run_synth(cfg: RunConfig):
@@ -164,31 +164,24 @@ def _load_data(cfg: RunConfig, families: tuple | None = None):
     return rows, data
 
 
-def run_train(cfg: RunConfig, variant: str | None = None, families: tuple | None = None) -> Path:
-    """Train one variant; writes the checkpoint and the training log."""
-    variant = variant or cfg.variant
+def run_train(cfg: RunConfig, families: tuple | None = None) -> Path:
+    """Train the configured variant; writes the checkpoint and the training log."""
     _, data = _load_data(cfg, families)
-    ckpt, log = train(data, cfg.train_config(variant))
-    out = checkpoint_path(cfg, variant)
+    ckpt, log = train(data, cfg.train_config())
+    out = checkpoint_path(cfg)
     with replace_on_success(out, binary=True) as fh:
         fh.write(save_checkpoint(ckpt))
-    write_train_log(log, _work(cfg) / f"train_log_{variant}.csv", header_comment=stamp(cfg))
+    write_train_log(log, _work(cfg) / f"train_log_{cfg.variant}.csv", header_comment=stamp(cfg))
     return out
 
 
-def run_predict(
-    cfg: RunConfig,
-    variant: str | None = None,
-    split: str = "test",
-    families: tuple | None = None,
-) -> Path:
+def run_predict(cfg: RunConfig, split: str = "test", families: tuple | None = None) -> Path:
     """Predict measures for one split from the manifest and the checkpoint
     alone, decoding only that split's bundles; writes the predictions CSV.
     Raises ValueError, before the CSV is replaced, when the split selects no
     bundle, and before any bundle is decoded when the checkpoint was trained
     on another cloud size."""
-    variant = variant or cfg.variant
-    ckpt = load_checkpoint(checkpoint_path(cfg, variant).read_bytes())
+    ckpt = load_checkpoint(checkpoint_path(cfg).read_bytes())
     check_cloud_size(ckpt, cfg.n_points)
     rows = read_manifest(manifest_path(cfg))
     rows = [r for r in rows if families is None or r.family in families]
@@ -199,23 +192,22 @@ def run_predict(
         raise ValueError(f"no bundles to predict in the {split} split{which}")
     bundles = ((i, read_native(Path(r.path).read_bytes())) for i, r in chosen)
     preds = predict_measures(ckpt, *model_inputs(bundles, cfg.n_points, cfg.master_seed))
-    out = predictions_path(cfg, variant)
+    out = predictions_path(cfg)
     write_measures_csv(out, [r.path for _, r in chosen], preds, stamp(cfg))
     return out
 
 
-def run_eval(cfg: RunConfig, variant: str | None = None) -> EvalReport:
+def run_eval(cfg: RunConfig) -> EvalReport:
     """Score predictions against ground truth; writes the report CSV."""
-    variant = variant or cfg.variant
-    pred_paths, preds = read_measures_csv(predictions_path(cfg, variant))
+    pred_paths, preds = read_measures_csv(predictions_path(cfg))
     gt_paths, gt = read_measures_csv(measures_path(cfg))
     gt_by_path = {p: gt[i] for i, p in enumerate(gt_paths)}
     missing = [p for p in pred_paths if p not in gt_by_path]
     if missing:
         raise ValueError(f"predictions reference unknown bundles, e.g. {missing[0]!r}")
     gt_matched = np.array([gt_by_path[p] for p in pred_paths])
-    report = evaluate(preds, gt_matched, variant=variant)
-    write_report(report, report_path(cfg, variant), header_comment=stamp(cfg))
+    report = evaluate(preds, gt_matched, variant=cfg.variant)
+    write_report(report, report_path(cfg), header_comment=stamp(cfg))
     return report
 
 
@@ -273,14 +265,16 @@ def run_gradcheck(n_probes: int = 120, seed: int = 0) -> float:
     return max_rel
 
 
-def run_bench(cfg: RunConfig, variant: str | None = None) -> dict:
+def run_bench(cfg: RunConfig) -> dict:
     """Per-subject-equivalent wall times for the oracle and the model, and
     the oracle's tracemalloc peak in MB; the model's best repetition is also
     split into point sampling and predict.
     Also times one training step on the subject's first clouds, a batch of
     the checkpoint's size: ``train.train``'s cached forward and its backward
-    (with d_out = 1 / size), against the checkpoint's parameters."""
-    variant = variant or cfg.variant
+    (with d_out = 1 / size), against the checkpoint's parameters. Refuses a
+    checkpoint of another cloud size (ValueError) before it times anything."""
+    ckpt = load_checkpoint(checkpoint_path(cfg).read_bytes())
+    check_cloud_size(ckpt, cfg.n_points)
     rows = read_manifest(manifest_path(cfg))[:SUBJECT_EQUIVALENT_BUNDLES]
     bundles = [read_native(Path(r.path).read_bytes()) for r in rows]
 
@@ -309,7 +303,6 @@ def run_bench(cfg: RunConfig, variant: str | None = None) -> dict:
             compute_measures(b, cfg.voxel_size)
         oracle_s = min(oracle_s, time.perf_counter() - t0)
 
-    ckpt = load_checkpoint(checkpoint_path(cfg, variant).read_bytes())
     predict_measures(ckpt, np.zeros((1, cfg.n_points, 3)), np.zeros((1, 2)))
     model_s = np.inf
     for _ in range(repeats):
@@ -323,7 +316,7 @@ def run_bench(cfg: RunConfig, variant: str | None = None) -> dict:
 
     points, tabular = inputs
     batch = slice(0, min(ckpt.config.batch_size, len(points)))
-    tab = ckpt.standardizer.apply_many(tabular[batch]) if uses_tabular(ckpt.config.variant) else None
+    tab = ckpt.standardizer.apply_many(tabular[batch]) if ckpt.standardizer is not None else None
     step_s = np.inf
     for _ in range(repeats):
         t0 = time.perf_counter()

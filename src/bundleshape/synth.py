@@ -206,6 +206,10 @@ class DatasetConfig:
             raise ValueError(f"points_min must be >= 2, got {self.points_min}")
         if not (self.tube_radius_min >= 0 and self.jitter_min >= 0):
             raise ValueError("tube_radius_min and jitter_min must be >= 0")
+        if not self.length_min > 0:
+            raise ValueError(f"length_min must be > 0, got {self.length_min}")
+        if not 0 < self.streamline_density < np.inf:
+            raise ValueError(f"streamline_density must be positive and finite, got {self.streamline_density}")
 
 
 # Swept angle and pitch ranges of the curved families; no setting varies them.

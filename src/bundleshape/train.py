@@ -199,9 +199,7 @@ def predict_measures(ckpt: Checkpoint, points: np.ndarray, tabular_raw: np.ndarr
     """
     if points.ndim == 3:
         check_cloud_size(ckpt, points.shape[1])
-    tab = None
-    if uses_tabular(ckpt.config.variant):
-        tab = ckpt.standardizer.apply_many(tabular_raw)
+    tab = ckpt.standardizer.apply_many(tabular_raw) if ckpt.standardizer is not None else None
     outputs = forward(ckpt.params, points, tab, ckpt.config.variant, dtype=_FORWARD_DTYPE)
     return _measures_from_outputs(ckpt, outputs.astype(np.float64))
 

@@ -17,6 +17,7 @@ this one check fails with the measured time.
 
 import shutil
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -284,9 +285,10 @@ def test_criterion_06_end_to_end_accuracy(e2e):
 def test_criterion_07_ablation_ordering(small):
     reports = {}
     for variant in VARIANTS:
-        run_train(small, variant)
-        run_predict(small, variant)
-        reports[variant] = run_eval(small, variant)
+        run = replace(small, variant=variant)
+        run_train(run)
+        run_predict(run)
+        reports[variant] = run_eval(run)
     write_ablation_tables(small, reports)
     full_r = reports["full"].mean_pearson
     vanilla_r = reports["vanilla"].mean_pearson
@@ -300,8 +302,9 @@ def test_criterion_07_ablation_ordering(small):
 
 
 def test_criterion_08_cross_domain(small):
-    run_train(small, "full", families=("cylinder", "arc"))
-    ckpt = load_checkpoint(checkpoint_path(small, "full").read_bytes())
+    full = replace(small, variant="full")
+    run_train(full, families=("cylinder", "arc"))
+    ckpt = load_checkpoint(checkpoint_path(full).read_bytes())
     rows, data = _load_data(small)
     held_out = np.array(
         [
@@ -363,16 +366,17 @@ def test_criterion_10_metrics_and_determinism(small, tmp_path_factory):
     shutil.copy(f"{small.work_dir}/measures.csv", work)
     run_pca(cfg)
 
+    multimodal = replace(cfg, variant="multimodal")
     blobs = []
     for _ in range(2):
-        run_train(cfg, "multimodal")
-        run_predict(cfg, "multimodal")
-        run_eval(cfg, "multimodal")
+        run_train(multimodal)
+        run_predict(multimodal)
+        run_eval(multimodal)
         blobs.append(
             (
-                checkpoint_path(cfg, "multimodal").read_bytes(),
-                predictions_path(cfg, "multimodal").read_bytes(),
-                report_path(cfg, "multimodal").read_bytes(),
+                checkpoint_path(multimodal).read_bytes(),
+                predictions_path(multimodal).read_bytes(),
+                report_path(multimodal).read_bytes(),
             )
         )
     repro = blobs[0] == blobs[1]

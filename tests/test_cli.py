@@ -351,6 +351,26 @@ class TestPipeline:
         body = (run / "ablation_pearson.csv").read_text()
         assert "full" in body and "vanilla" in body
 
+    def test_variant_override_stamps_its_own_config_hash(self, tiny_run, tmp_path, capsys):
+        # --variant used to reach the pipeline beside the config, so every
+        # output of an overridden run carried the configured variant's hash.
+        cfg = copy_run(tiny_run, tmp_path)
+        base = load_config(cfg[1])
+        for variant in ("pca", "vanilla"):
+            assert main(["train", *cfg, "--variant", variant]) == EXIT_OK
+            assert main(["predict", *cfg, "--variant", variant]) == EXIT_OK
+        # The configured variant's (full) predictions are absent, so --ablation
+        # writes report_pca.csv alone through the override loop.
+        assert main(["eval", *cfg, "--variant", "vanilla", "--ablation"]) == EXIT_OK
+        run = tmp_path / "run"
+        stamps = set()
+        for variant in ("pca", "vanilla"):
+            stamp = f"# {pipeline.stamp(dataclasses.replace(base, variant=variant))}"
+            for name in ("train_log", "predictions", "report"):
+                assert (run / f"{name}_{variant}.csv").read_text().splitlines()[0] == stamp
+            stamps.add(stamp)
+        assert len(stamps | {f"# {pipeline.stamp(base)}"}) == 3
+
     def test_families_filter(self, tiny_run):
         root, cfg = tiny_run
         assert main(["train", *cfg, "--variant", "pca", "--families", "cylinder,arc"]) == EXIT_OK
@@ -468,6 +488,22 @@ class TestPipeline:
         tick = time.get_clock_info("perf_counter").resolution
         assert abs(result["sample_s"] + result["predict_s"] - result["model_s"]) <= 2 * tick
         assert result["train_forward_s"] > 0 and result["backward_s"] > 0
+
+    @pytest.mark.parametrize("trained", [False, True], ids=["missing", "another_cloud_size"])
+    def test_bench_refuses_the_checkpoint_before_the_oracle(
+        self, tiny_run, tmp_path, capsys, monkeypatch, trained
+    ):
+        cfg = copy_run(tiny_run, tmp_path)
+        ini = tmp_path / "run.ini"
+        if trained:
+            assert main(["train", *cfg]) == EXIT_OK
+            ini.write_text(ini.read_text().replace("n_points = 64", "n_points = 512"))
+        capsys.readouterr()
+        measured = []
+        monkeypatch.setattr(pipeline, "compute_measures", lambda *args: measured.append(args))
+        assert main(["bench", *cfg]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert measured == []
 
     def test_bench_predicts_the_training_inputs(self, tiny_run, tmp_path, monkeypatch):
         cfg = copy_run(tiny_run, tmp_path)

@@ -74,6 +74,17 @@ class TestLoad:
             {"n_points": 2},
             {"pca_k": 0},
             {"pca_k": 11},
+            {"lam_pair": float("nan")},
+            {"lr0": -0.002},
+            {"lr0": 0.0},
+            {"lr0": float("inf")},
+            {"lr0": float("nan")},
+            {"sched_gamma": -1.0},
+            {"sched_gamma": 0.0},
+            {"sched_gamma": float("nan")},
+            {"weight_decay": -1.0},
+            {"weight_decay": float("inf")},
+            {"weight_decay": float("nan")},
         ],
     )
     def test_train_settings_refused_as_train_config_refuses_them(self, override):
@@ -102,6 +113,12 @@ class TestLoad:
             {"tube_radius_min": -1.0, "tube_radius_max": -0.5},
             {"tube_radius_min": -1.0},
             {"jitter_min": -0.1},
+            {"streamline_density": float("nan")},
+            {"streamline_density": float("inf")},
+            {"streamline_density": 0.0},
+            {"streamline_density": -4.0},
+            {"length_min": -100.0, "length_max": -50.0},
+            {"length_min": 0.0},
         ],
     )
     def test_dataset_settings_refused_as_dataset_config_refuses_them(self, override, tmp_path):
@@ -113,9 +130,11 @@ class TestLoad:
         assert not (tmp_path / "bundles").exists()
 
     def test_train_config_carries_the_train_section(self):
-        cfg = load_config(None, overrides={"batch_size": 16, "train_seed": 3, "n_points": 128})
+        overrides = {"batch_size": 16, "train_seed": 3, "n_points": 128}
+        cfg = load_config(None, overrides=overrides)
         assert cfg.train_config() == TrainConfig(batch_size=16, seed=3, n_points=128)
-        assert cfg.train_config("vanilla").variant == "vanilla"
+        vanilla = load_config(None, overrides={**overrides, "variant": "vanilla"})
+        assert vanilla.train_config() == TrainConfig(variant="vanilla", batch_size=16, seed=3, n_points=128)
 
 
 # One non-default value for every stage config field, under its INI section
